@@ -44,11 +44,6 @@ def poisson_schedule(rate: float, count: int, seed: int) -> list[float]:
     return out
 
 
-def burst_schedule(count: int) -> list[float]:
-    """A fixed backlog: every request due at the phase start."""
-    return [0.0] * count
-
-
 class Connection:
     """One keep-alive HTTP/1.1 connection; reconnects after a failure."""
 

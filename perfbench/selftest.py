@@ -72,7 +72,6 @@ def test_schedules() -> None:
     assert a != loadgen.poisson_schedule(100.0, 2000, seed=4)
     assert all(x < y for x, y in zip(a, a[1:]))
     assert 17.0 < a[-1] < 23.0  # 2000 arrivals at 100/s take about 20 s
-    assert loadgen.burst_schedule(3) == [0.0, 0.0, 0.0]
     raw = loadgen.encode_route([[0.1, 2.5]])[0]
     head, body = raw.split(b"\r\n\r\n")
     assert body == b'{"demand": [0.1, 2.5]}'

@@ -7,8 +7,7 @@ at most ``os.cpu_count()`` connections, phase by phase:
 
 1. an untimed warm-up;
 2. 100 rps (``r100``), then 400 rps (``r400``);
-3. a fixed backlog (every request due at once), several times;
-4. a rate ladder for the highest rate meeting the limit.
+3. a rate ladder for the highest rate meeting the limit.
 
 Afterwards every served ``(step, demand)`` pair is replayed through an
 offline rolling session and must give bitwise-equal loads.
@@ -35,9 +34,6 @@ SERVE_ARGS = ("serve", "--scenario", SCENARIO, "--rolling-window", str(ROLLING_W
               "--no-store", "--port", "0")
 #: Server launches per run; the median launch-to-healthy time is set-up.
 SETUP_LAUNCHES = 3
-#: A backlog spans exactly two rolling-window boundaries wherever it starts.
-BACKLOG = 2 * ROLLING_WINDOW
-BACKLOGS = 12
 WARMUP = (150.0, 300)
 #: Ladder rungs besides r100 and r400, which count as rungs 100 and 400.
 LADDER = (200.0, 300.0, 500.0, 600.0, 700.0, 800.0, 1000.0, 1200.0)
@@ -141,7 +137,7 @@ class Session:
         self.failed = 0
         self.late: list[float] = []
 
-    def phase(self, due: list[float], open_loop: bool = True) -> dict:
+    def phase(self, due: list[float]) -> dict:
         n = len(due)
         first = self.next_row
         self.next_row += n
@@ -157,11 +153,10 @@ class Session:
             self.send_s_by_step[payload["step"]] = out["done"][i] - out["sent"][i]
         self.sent += n
         self.failed += failed
-        if open_loop:  # in a fixed backlog, lateness is the point
-            self.late.extend(late)
+        self.late.extend(late)
         self._settle()
         return {"latency_ms": [x * 1000 for x in latency], "failed": failed,
-                "backlog": out["backlog"], "wall_s": max(out["done"]) - out["due"][0]}
+                "backlog": out["backlog"]}
 
     def _settle(self) -> None:
         deadline = time.perf_counter() + 10
@@ -181,21 +176,13 @@ def _rate_phase(rate: float, seconds: float, seed: int) -> list[float]:
 def _plan(seconds: float, seed: int) -> list[tuple[str, str, float | None, list[float]]]:
     """Every phase as ``(name, kind, rate, due offsets)``, fixed before the
     server is contacted. ``r100`` and ``r400`` double as ladder rungs."""
-    backlogs = [(f"backlog{k}", "backlog", None, loadgen.burst_schedule(BACKLOG))
-                for k in range(BACKLOGS)]
-    third = BACKLOGS // 3
-    # The backlogs are spread over the run, so a stall of the machine
-    # touches few of them. They come before the ladder, whose
-    # length varies from run to run: routing cost depends on where in the
-    # price calendar a step falls, so every timed phase must cover the same
-    # steps in every run.
+    # The ladder comes last because its length varies from run to run:
+    # routing cost depends on where in the price calendar a step falls, so
+    # every timed phase before it covers the same steps in every run.
     plan = [("warmup", "warmup", None,
              loadgen.poisson_schedule(WARMUP[0], WARMUP[1], seed + 1)),
-            *backlogs[:third],
             ("r100", "rate", 100.0, _rate_phase(100.0, seconds, seed + 2)),
-            *backlogs[third:2 * third],
-            ("r400", "rate", 400.0, _rate_phase(400.0, seconds / 4, seed + 3)),
-            *backlogs[2 * third:]]
+            ("r400", "rate", 400.0, _rate_phase(400.0, seconds / 4, seed + 3))]
     for k, rate in enumerate(LADDER):
         plan.append((f"ladder{rate:g}", "rung", rate, _rate_phase(rate, 2.0, seed + 10 + k)))
     return plan
@@ -219,7 +206,7 @@ def _drive(server: Server, seed: int, seconds: float) -> dict:
             if kind == "rung" and any(not ok and r < rate for r, ok in rungs.items()):
                 continue  # the ladder stops at its first failing rung
             c0 = server.cpu_s()
-            results[name] = res = session.phase(due, open_loop=kind != "backlog")
+            results[name] = res = session.phase(due)
             if kind == "rate":
                 cpu[name] = server.cpu_s() - c0
             after = server.get("/stats")
@@ -268,10 +255,10 @@ def _buckets_ok(stats: dict) -> bool:
     )
 
 
-def _backlog_wall(run: dict) -> float:
-    """Median time to drain one backlog: the serving job's wall time. A
-    median, because a few backlogs can fall into a stall of the machine."""
-    return median([run["results"][f"backlog{k}"]["wall_s"] for k in range(BACKLOGS)])
+def _request_wall(run: dict) -> float:
+    """What one routed request costs its client: the median latency at
+    100 rps, in seconds, timed from the due time."""
+    return percentile(run["results"]["r100"]["latency_ms"], 50) / 1000
 
 
 def serve_open_loop(report: Report, work: Path, seconds: float, trace: bool) -> None:
@@ -294,7 +281,7 @@ def serve_open_loop(report: Report, work: Path, seconds: float, trace: bool) -> 
     res, session = run["results"], run["session"]
     report.attempted += session.sent
     report.failed += session.failed
-    report.metric("wall_s", _backlog_wall(run), "s", BACKLOGS)
+    report.metric("wall_s", _request_wall(run), "s", len(res["r100"]["latency_ms"]))
     report.metric("cpu_s", run["cpu"]["r100"] + run["cpu"]["r400"], "s")
     report.metric("peak_rss_mib", run["peak_rss_mib"], "MiB")
 
@@ -348,7 +335,7 @@ def _traced(report: Report, work: Path, seed: int, seconds: float, wall: float) 
                         ("http_s", split["http"])):
         layers[f"serve.{key}.p50"] = percentile(values, 50) if values else 0.0
         layers[f"serve.{key}.p99"] = percentile(values, 99) if values else 0.0
-    traced_wall = _backlog_wall(run)
+    traced_wall = _request_wall(run)
     layers["trace.overhead_s"] = traced_wall - wall
     layers["trace.overhead_share"] = (traced_wall - wall) / wall
     report.layers.update(layers)
