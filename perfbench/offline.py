@@ -20,6 +20,9 @@ SETUP_BEFORE = 2
 #: Interleaved (set-up, warm pass) pairs at least, then more while the
 #: run's time allows.
 MIN_PAIRS = 4
+#: Cold figure passes per run, each into a fresh store; wall and CPU are
+#: their median, and their payload digests must be identical.
+COLD_PASSES = 2
 #: Cold campaigns per run (fresh stores); wall and CPU are their median.
 CAMPAIGN_REPEATS = 2
 
@@ -64,29 +67,42 @@ def _digest(obj) -> str:
 
 
 def figures_cold(report: Report, work: Path, seconds: float, trace: bool) -> None:
-    store = work / "store"
     setups = [_list_wall(work / "empty", work) for _ in range(SETUP_BEFORE)]
 
-    args = ["run", *FIGURES, "--jobs", "1", "--seed", str(report.seed),
-            "--artifacts", str(store)]
-    cold = run_child(repro_argv(*args), work)
-    report.attempted += len(FIGURES)
-    if cold.code != 0:
-        report.failed += len(FIGURES)
-        report.check("cold run exits 0", False, cold.stderr.strip()[-400:])
-        return
-    report.metric("wall_s", cold.wall_s, "s")
-    report.metric("cpu_s", cold.cpu_s, "s")
-    payloads = _figure_payloads(store, report.seed)
-    missing = [fid for fid, p in payloads.items() if p is None]
+    def args(store: Path) -> list[str]:
+        return ["run", *FIGURES, "--jobs", "1", "--seed", str(report.seed),
+                "--artifacts", str(store)]
+
+    colds, passes, missing = [], [], []
+    for k in range(COLD_PASSES):
+        store = work / f"store{k}"
+        cold = run_child(repro_argv(*args(store)), work)
+        report.attempted += len(FIGURES)
+        if cold.code != 0:
+            report.failed += len(FIGURES)
+            report.check("cold run exits 0", False, cold.stderr.strip()[-400:])
+            return
+        payloads = _figure_payloads(store, report.seed)
+        missing += [f"{fid} (pass {k})" for fid, p in payloads.items() if p is None]
+        colds.append(cold)
+        passes.append(payloads)
     report.check("every figure artifact written", not missing, f"missing {missing}")
     report.failed += len(missing)
+    payloads, digests = passes[0], [_digest(p) for p in passes]
+    wall = median([c.wall_s for c in colds])
+    report.metric("wall_s", wall, "s", len(colds))
+    report.metric("cpu_s", median([c.cpu_s for c in colds]), "s", len(colds))
+    report.metric("peak_rss_mib", max(c.maxrss_mib for c in colds), "MiB", len(colds))
+    differing = [fid for fid in FIGURES
+                 if len({_digest(p[fid]) for p in passes}) > 1]
+    report.failed += len(differing)
+    report.check("cold passes give identical figure payloads", not differing,
+                 f"{' '.join(digests)}; differing {differing}" if differing else "")
 
-    same = _setup_and_warm(report, work, repro_argv(*args), seconds / 2, setups,
-                           lambda stdout: stdout == cold.stdout)
-    report.metric("peak_rss_mib", cold.maxrss_mib, "MiB")
+    same = _setup_and_warm(report, work, repro_argv(*args(work / "store0")), seconds / 2,
+                           setups, lambda stdout: stdout == colds[0].stdout)
     report.check("warm passes print the cold figures", same)
-    report.notes.append(f"figure digest {_digest(payloads)} (seed {report.seed})")
+    report.notes.append(f"figure digest {digests[0]} (seed {report.seed})")
 
     if report.seed == GOLDEN_SEED:
         from repro.artifacts.diffing import compare_figure_payloads
@@ -100,12 +116,13 @@ def figures_cold(report: Report, work: Path, seconds: float, trace: bool) -> Non
         traced_dir = work / "spans"
         traced_dir.mkdir()
         tstore = work / "store-traced"
-        targs = [a if a != str(store) else str(tstore) for a in args]
-        traced = run_child(child_argv("cli", *targs, trace_dir=traced_dir), work)
+        traced = run_child(child_argv("cli", *args(tstore), trace_dir=traced_dir), work)
         report.check("traced run exits 0", traced.code == 0, traced.stderr.strip()[-400:])
+        report.check("traced run gives the cold figures",
+                     _digest(_figure_payloads(tstore, report.seed)) == digests[0])
         report.layers.update(tracing.layer_metrics(tracing.load_dumps(traced_dir)))
-        report.layers["trace.overhead_s"] = traced.wall_s - cold.wall_s
-        report.layers["trace.overhead_share"] = (traced.wall_s - cold.wall_s) / cold.wall_s
+        report.layers["trace.overhead_s"] = traced.wall_s - wall
+        report.layers["trace.overhead_share"] = (traced.wall_s - wall) / wall
 
 
 def campaign(report: Report, work: Path, seconds: float, trace: bool) -> None:

@@ -26,7 +26,7 @@ import signal
 import subprocess
 import sys
 
-from common import BENCH, ROOT, SRC, Report, environment
+from common import BENCH, ROOT, SRC, Report, environment, median
 from stats import spread
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text()) if (
@@ -111,9 +111,9 @@ def _steadiness(names: list[str], repeats: int, seed: int, seconds: float) -> in
             bound = bounds.get(metric)
             verdict = "steady" if bound is not None and s <= bound / 3 else (
                 "within bound" if bound is not None and s <= bound else "NOT STEADY")
-            if verdict == "NOT STEADY" and metric != "setup_s":
+            if verdict == "NOT STEADY":
                 steady = False
-            print(f"{name:16s} {metric:14s} median {sorted(vals)[len(vals) // 2]:10.4f} "
+            print(f"{name:16s} {metric:14s} median {median(vals):10.4f} "
                   f"spread {s:6.3f} bound {bound} {verdict} "
                   f"[{' '.join(f'{v:.4g}' for v in vals)}]")
     return 0 if steady else 1

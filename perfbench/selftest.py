@@ -22,9 +22,11 @@ from stats import (  # noqa: E402
     rung_passes,
     self_times,
     spread,
+    steps_to_verify,
     summarize,
     tail_percentile,
 )
+from tracing import Recorder  # noqa: E402
 
 
 def test_tail_percentile() -> None:
@@ -110,6 +112,44 @@ def test_self_time() -> None:
     assert own[3] == 2.0
     assert own[4] == 3.0
     assert own[5] == 1.0
+
+
+def test_extractor_time_is_not_the_programs() -> None:
+    # A span's attributes are read after it ends; the read shows as a
+    # ``trace.extract`` child of the parent, so neither span is charged.
+    import time
+
+    def slow_info():
+        time.sleep(0.02)
+        return {"bytes": 1}
+
+    rec = Recorder(out_dir="")
+    outer = rec.begin()
+    inner = rec.begin()
+    rec.end(*inner, time.perf_counter(), "inner", slow_info)
+    rec.end(*outer, time.perf_counter(), "outer")
+    spans = [{"id": s[0], "parent": s[1], "name": s[2], "start": s[3], "end": s[4]}
+             for s in rec.spans]
+    by_name = {s["name"]: s for s in spans}
+    own = self_times(spans)
+    assert by_name["inner"]["end"] - by_name["inner"]["start"] < 0.01
+    assert by_name["trace.extract"]["parent"] == by_name["outer"]["id"]
+    assert own[by_name["outer"]["id"]] < 0.01
+    attrs = {s[2]: s[5] for s in rec.spans}
+    assert attrs == {"trace.extract": None, "inner": {"bytes": 1}, "outer": None}
+
+
+def test_steps_to_verify() -> None:
+    # Two clean phases owe every step they were served.
+    clean = [[(0.0, 0.1, 0), (0.1, 0.2, 1)], [(1.0, 1.1, 3), (1.0, 1.2, 2)]]
+    assert steps_to_verify(clean) == 4
+    # In the phase of the first failure, only requests answered before
+    # the failed one was sent are owed; later phases owe nothing.
+    failing = [[(2.0, 2.1, 4), (2.2, 4.2, None), (2.3, 2.4, 6), (2.15, 2.19, 5)],
+               [(5.0, 5.1, 9)]]
+    assert steps_to_verify(clean + failing) == 6
+    assert steps_to_verify([[(0.0, 2.0, None), (0.1, 0.2, 0)]]) == 0
+    assert steps_to_verify([]) == 0
 
 
 def test_spread() -> None:

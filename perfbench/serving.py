@@ -21,12 +21,20 @@ import re
 import subprocess
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import loadgen
 import tracing
 from common import Report, child_argv, median, program_env, repro_argv, stop_process
-from stats import max_rate, open_loop_timings, percentile, rung_passes, summarize
+from stats import (
+    max_rate,
+    open_loop_timings,
+    percentile,
+    rung_passes,
+    steps_to_verify,
+    summarize,
+)
 
 SCENARIO = "paper-default"
 ROLLING_WINDOW = 288
@@ -108,17 +116,14 @@ class Server:
 
 
 def _demand_rows(seed: int, count: int) -> list[list[float]]:
-    """Seeded demand: rows of the scenario's own trace, each drawn at
-    random and scaled by a random factor in [0.8, 1.2)."""
-    import numpy as np
+    """Seeded demand: the scenario's own traffic model with its trace
+    seed replaced by ``seed``, sent in step order and wrapped at the
+    trace's end, so each row keeps its time of day."""
     from repro import scenarios
 
     scenario = scenarios.get(SCENARIO)
-    demand = scenarios.trace(scenario.trace, scenario.market).demand
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(demand), size=count)
-    scale = rng.uniform(0.8, 1.2, size=count)
-    return (demand[idx] * scale[:, None]).tolist()
+    demand = scenarios.trace(replace(scenario.trace, seed=seed), scenario.market).demand
+    return [demand[i % len(demand)].tolist() for i in range(count)]
 
 
 class Session:
@@ -133,6 +138,9 @@ class Session:
                       for _ in range(max(1, os.cpu_count() or 1))]
         self.served: dict[int, tuple[int, list[float]]] = {}  # step -> (row, loads)
         self.send_s_by_step: dict[int, float] = {}
+        #: Per phase, in order: ``(sent, done, step)`` of each request,
+        #: ``step`` None when the request failed.
+        self.phases: list[list[tuple[float, float, int | None]]] = []
         self.sent = 0
         self.failed = 0
         self.late: list[float] = []
@@ -144,13 +152,17 @@ class Session:
         out = loadgen.run_phase(self.conns, self.requests[first:first + n], due)
         latency, late = open_loop_timings(out["due"], out["sent"], out["done"])
         failed = 0
+        record = []
         for i, (status, body) in enumerate(zip(out["status"], out["bodies"])):
             if status != 200:
                 failed += 1
+                record.append((out["sent"][i], out["done"][i], None))
                 continue
             payload = json.loads(body)
             self.served[payload["step"]] = (first + i, list(payload["loads"].values()))
             self.send_s_by_step[payload["step"]] = out["done"][i] - out["sent"][i]
+            record.append((out["sent"][i], out["done"][i], payload["step"]))
+        self.phases.append(record)
         self.sent += n
         self.failed += failed
         self.late.extend(late)
@@ -225,7 +237,13 @@ def _drive(server: Server, seed: int, seconds: float) -> dict:
 
 def _replay(session: Session) -> tuple[bool, int, str]:
     """Feed the served pairs, in step order, through an offline rolling
-    session; the per-cluster loads must be bitwise equal."""
+    session; the per-cluster loads must be bitwise equal.
+
+    Each answer must name its own step, and the served steps must run
+    without a gap from step 0 through every step that
+    ``stats.steps_to_verify`` says the client can account for: all of
+    them, up to the first failed request.
+    """
     import numpy as np
     from repro import scenarios
 
@@ -233,6 +251,12 @@ def _replay(session: Session) -> tuple[bool, int, str]:
     contiguous = 0
     while contiguous < len(steps) and steps[contiguous] == contiguous:
         contiguous += 1
+    answered = sum(step is not None for phase in session.phases for *_, step in phase)
+    if answered != len(steps):
+        return False, 0, f"{answered} answers name {len(steps)} distinct steps"
+    need = steps_to_verify(session.phases)
+    if contiguous < need:
+        return False, contiguous, f"but {need} are owed; step {contiguous} is missing"
     if not contiguous:
         return False, 0, "no served steps"
     offline = scenarios.open_rolling_session(scenarios.get(SCENARIO),
@@ -243,7 +267,8 @@ def _replay(session: Session) -> tuple[bool, int, str]:
         expected = allocations[step].sum(axis=0).tolist()
         if expected != session.served[step][1]:
             return False, contiguous, f"step {step} loads differ"
-    detail = "" if contiguous == len(steps) else f"{len(steps) - contiguous} steps after a gap"
+    detail = ("" if contiguous == len(steps)
+              else f"{len(steps) - contiguous} steps after the first failed request")
     return True, contiguous, detail
 
 
@@ -285,6 +310,8 @@ def serve_open_loop(report: Report, work: Path, seconds: float, trace: bool) -> 
     report.metric("cpu_s", run["cpu"]["r100"] + run["cpu"]["r400"], "s")
     report.metric("peak_rss_mib", run["peak_rss_mib"], "MiB")
 
+    report.check("warmup has no failed request", res["warmup"]["failed"] == 0,
+                 f"{res['warmup']['failed']} failed")
     for rate in ("r100", "r400"):
         s = summarize(res[rate]["latency_ms"])
         report.notes.append(

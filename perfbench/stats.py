@@ -102,6 +102,27 @@ def max_rate(rungs: list[tuple[float, bool]]) -> float | None:
     return best
 
 
+def steps_to_verify(phases: list[list[tuple[float, float, int | None]]]) -> int:
+    """How many leading horizon steps a served run must account for.
+
+    ``phases`` lists, phase by phase in the order they ran, each
+    request's ``(sent, done, step)``; ``step`` is None for a failed
+    request. A failed request may still have taken a step the client
+    never learns, so only steps served before the first failure are
+    owed: every step of the phases before it, and in its phase every
+    step of a request that was answered before the failed one was sent.
+    """
+    need = 0
+    for requests in phases:
+        failures = [sent for sent, _, step in requests if step is None]
+        cutoff = min(failures) if failures else math.inf
+        owed = [step for _, done, step in requests if step is not None and done < cutoff]
+        need = max([need, *(step + 1 for step in owed)])
+        if failures:
+            break
+    return need
+
+
 def spread(values: list[float]) -> float:
     """Inter-quartile distance as a share of the median."""
     q1, q2, q3 = statistics.quantiles(values, n=4)

@@ -57,9 +57,16 @@ class Recorder:
         parent = _current.get()
         return sid, parent, _current.set(sid), time.perf_counter()
 
-    def end(self, sid, parent, token, t0, name: str, attrs: dict | None) -> None:
-        t1 = time.perf_counter()
+    def end(self, sid, parent, token, t0, t1, name: str, info=None, call=()) -> None:
+        """Close a span that ran from ``t0`` to ``t1``; then read its
+        attributes with ``info(*call)``. That read is the recorder's work,
+        not the program's: it is recorded as a ``trace.extract`` child of
+        the parent span, so the parent's self time excludes it too."""
         _current.reset(token)
+        attrs = info(*call) if info else None
+        if info and parent is not None:
+            self.spans.append((self.pid * 10_000_000 + next(self._ids), parent,
+                               "trace.extract", t1, time.perf_counter(), None))
         self.spans.append((sid, parent, name, t0, t1, attrs))
 
     def add(self, name: str, t0: float, t1: float, attrs: dict | None = None) -> None:
@@ -153,7 +160,8 @@ def _wrap(rec: Recorder, fn, name: str, info=None):
                 result = await fn(*args, **kwargs)
                 return result
             finally:
-                rec.end(sid, parent, token, t0, name, info(args, kwargs, result) if info else None)
+                rec.end(sid, parent, token, t0, time.perf_counter(), name, info,
+                        (args, kwargs, result))
 
         return awrapper
 
@@ -165,7 +173,8 @@ def _wrap(rec: Recorder, fn, name: str, info=None):
             result = fn(*args, **kwargs)
             return result
         finally:
-            rec.end(sid, parent, token, t0, name, info(args, kwargs, result) if info else None)
+            rec.end(sid, parent, token, t0, time.perf_counter(), name, info,
+                    (args, kwargs, result))
 
     for attr in ("cache_clear", "cache_info"):
         if hasattr(fn, attr):
