@@ -43,6 +43,9 @@ SERVE_ARGS = ("serve", "--scenario", SCENARIO, "--rolling-window", str(ROLLING_W
 #: Server launches per run; the median launch-to-healthy time is set-up.
 SETUP_LAUNCHES = 3
 WARMUP = (150.0, 300)
+#: ``r400`` runs near saturation and feeds only unbounded numbers, so it
+#: keeps a fixed length while ``r100`` lasts ``--seconds``.
+R400_SECONDS = 2.5
 #: Ladder rungs besides r100 and r400, which count as rungs 100 and 400.
 LADDER = (200.0, 300.0, 500.0, 600.0, 700.0, 800.0, 1000.0, 1200.0)
 #: Every rate phase sends enough requests for a p99 with 10 samples beyond.
@@ -194,7 +197,7 @@ def _plan(seconds: float, seed: int) -> list[tuple[str, str, float | None, list[
     plan = [("warmup", "warmup", None,
              loadgen.poisson_schedule(WARMUP[0], WARMUP[1], seed + 1)),
             ("r100", "rate", 100.0, _rate_phase(100.0, seconds, seed + 2)),
-            ("r400", "rate", 400.0, _rate_phase(400.0, seconds / 4, seed + 3))]
+            ("r400", "rate", 400.0, _rate_phase(400.0, R400_SECONDS, seed + 3))]
     for k, rate in enumerate(LADDER):
         plan.append((f"ladder{rate:g}", "rung", rate, _rate_phase(rate, 2.0, seed + 10 + k)))
     return plan
@@ -281,9 +284,17 @@ def _buckets_ok(stats: dict) -> bool:
 
 
 def _request_wall(run: dict) -> float:
-    """What one routed request costs its client: the median latency at
-    100 rps, in seconds, timed from the due time."""
-    return percentile(run["results"]["r100"]["latency_ms"], 50) / 1000
+    """What one routed request costs its client: the first quartile of
+    the latency at 100 rps, in seconds, timed from the due time.
+
+    Not the median: when the CPUs are contended, requests overlap more
+    often, an overlapping request waits out the server's 5 ms batch
+    window, and the longer busy period makes the next request overlap
+    too. The median then jumps from about 2.5 to about 7 ms for as long
+    as the contention lasts, while the first quartile still times the
+    lone request's path (HTTP, scalar ``allocate``, JSON).
+    """
+    return percentile(run["results"]["r100"]["latency_ms"], 25) / 1000
 
 
 def serve_open_loop(report: Report, work: Path, seconds: float, trace: bool) -> None:
