@@ -17,6 +17,7 @@ committed BENCH_engine.json should come from a full run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -46,8 +47,8 @@ MARKET_START = datetime(2008, 1, 1)
 def _time(fn, repeats: int) -> float:
     """Median wall-clock over ``repeats`` runs, after one warm-up call.
 
-    The warm-up absorbs one-time costs (lazy imports, cache fills, a
-    numba JIT when that kernel is selected) so the timed runs measure
+    The warm-up absorbs one-time costs (lazy imports, cache fills, the
+    native kernel's first load) so the timed runs measure
     steady state; the median is robust to the one slow outlier a
     shared machine always produces, where best-of quietly rewards
     noise.
@@ -274,64 +275,75 @@ def bench_profile(days: int) -> dict:
 
 
 def bench_kernel(trace, dataset, problem, router, options, repeats: int) -> dict:
-    """Kernel/threading variants against the default numpy engine.
+    """Native kernel / threaded chunk routing against the numpy kernels.
 
-    Each variant must reproduce the numpy kernel's loads and distance
-    histogram *bitwise* — the selector exists to buy speed, never to
-    move a result. The numba variant is recorded as unavailable (and
-    skipped) when the optional dependency is not installed.
+    Each variant must reproduce the numpy kernels' loads and distance
+    histogram *bitwise* — the kernels exist to buy speed, never to move
+    a result. The native variant is recorded as unavailable (and
+    skipped) when it did not load, e.g. on a box without a C compiler.
     """
-    from repro.kernels import KERNEL_ENV, THREADS_ENV, numba_available
+    from repro import kernels
 
-    reference = simulate(trace, dataset, problem, router, options)
-    t_numpy = _time(lambda: simulate(trace, dataset, problem, router, options), repeats)
-    section = {"case": "joint_followed_95_5", "numpy_seconds": round(t_numpy, 4), "variants": {}}
+    status = kernels.kernel_status()
 
-    def run_variant(env_key, env_value):
-        result = _with_env(
-            env_key, env_value, lambda: simulate(trace, dataset, problem, router, options)
-        )
+    def run():
+        return simulate(trace, dataset, problem, router, options)
+
+    with _numpy_kernels():
+        reference = run()
+        t_numpy = _time(run, repeats)
+    section = {
+        "case": "joint_followed_95_5",
+        "kernel": status,
+        "numpy_seconds": round(t_numpy, 4),
+        "variants": {},
+    }
+
+    def variant():
+        result = run()
         identical = (
             result.loads.tobytes() == reference.loads.tobytes()
             and result.distance_profile.histogram.tobytes()
             == reference.distance_profile.histogram.tobytes()
         )
-        seconds = _with_env(
-            env_key,
-            env_value,
-            lambda: _time(lambda: simulate(trace, dataset, problem, router, options), repeats),
-        )
-        return identical, seconds
-
-    if numba_available():
-        identical, seconds = run_variant(KERNEL_ENV, "numba")
-        section["variants"]["numba"] = {
+        seconds = _time(run, repeats)
+        return {
             "available": True,
             "seconds": round(seconds, 4),
             "speedup_vs_numpy": round(t_numpy / seconds, 2),
             "bit_identical": identical,
         }
+
+    if status == "native":
+        section["variants"]["native"] = variant()
     else:
-        section["variants"]["numba"] = {"available": False}
+        section["variants"]["native"] = {"available": False}
+    # Threaded chunks under the default kernel (native when loaded).
+    section["variants"]["threads_2"] = _with_env(kernels.THREADS_ENV, "2", variant)
 
-    identical, seconds = run_variant(THREADS_ENV, "2")
-    section["variants"]["threads_2"] = {
-        "available": True,
-        "seconds": round(seconds, 4),
-        "speedup_vs_numpy": round(t_numpy / seconds, 2),
-        "bit_identical": identical,
-    }
-
-    for name, variant in section["variants"].items():
-        if not variant.get("available"):
-            print(f"{'kernel:' + name:38s} unavailable (optional dependency not installed)")
+    for name, result in section["variants"].items():
+        if not result.get("available"):
+            print(f"{'kernel:' + name:38s} unavailable ({status})")
             continue
         print(
-            f"{'kernel:' + name:38s} {variant['seconds']:7.3f}s  "
-            f"vs numpy {variant['speedup_vs_numpy']:5.2f}x  "
-            f"bit_identical {variant['bit_identical']}"
+            f"{'kernel:' + name:38s} {result['seconds']:7.3f}s  "
+            f"vs numpy {result['speedup_vs_numpy']:5.2f}x  "
+            f"bit_identical {result['bit_identical']}"
         )
     return section
+
+
+@contextlib.contextmanager
+def _numpy_kernels():
+    """Serve the numpy kernels, as if the native one never loaded."""
+    from repro import kernels
+
+    saved = kernels._loaded
+    kernels._loaded = (None, "numpy requested by the benchmark")
+    try:
+        yield
+    finally:
+        kernels._loaded = saved
 
 
 def bench_float32(trace, dataset, problem, router, options, repeats: int) -> dict:

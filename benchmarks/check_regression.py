@@ -125,7 +125,7 @@ def check_kernel(fresh: dict) -> list[str]:
     failures = []
     for name, variant in section.get("variants", {}).items():
         if not variant.get("available", False):
-            print(f"{'kernel:' + name:24s} unavailable (optional dependency)  ok")
+            print(f"{'kernel:' + name:24s} unavailable (kernel did not load)  ok")
             continue
         identical = bool(variant.get("bit_identical", False))
         status = "ok" if identical else "FAIL"

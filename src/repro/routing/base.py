@@ -379,10 +379,10 @@ def greedy_fill_batch(
     The inner walk is allocation-free: index arithmetic runs in int32
     scratch buffers whenever the flat allocation span fits (always, at
     paper scale), dead rows are compacted away once a rank's live set
-    halves, and takes scatter straight into the output tensor. With
-    ``REPRO_ENGINE_KERNEL=numba`` (and numba importable) the walk runs
-    as an njit kernel instead — same operand order, bitwise-identical
-    results.
+    halves, and takes scatter straight into the output tensor. When
+    the native kernel is loaded (see :mod:`repro.kernels`), float64
+    walks run there instead — the scalar walk's operand order,
+    bitwise-identical results.
 
     Parameters
     ----------
@@ -425,7 +425,9 @@ def greedy_fill_batch(
     prefs = np.asarray(preference_orders)
     limits = np.asarray(limits, dtype=demand.dtype)
     n_clusters = limits.shape[-1]
-    headroom = np.array(np.broadcast_to(limits, (n_steps, n_clusters)), dtype=demand.dtype)
+    headroom = np.array(
+        np.broadcast_to(limits, (n_steps, n_clusters)), dtype=demand.dtype, order="C"
+    )
 
     finite = np.isfinite(headroom)
     totals = demand.sum(axis=1)
@@ -444,11 +446,32 @@ def greedy_fill_batch(
 
     order = state_order if state_order is not None else np.argsort(-demand, axis=1)
     with _profiling().phase("greedy_repair"):
-        if kernels.use_numba():
-            return _greedy_fill_batch_numba(demand, prefs, headroom, order, out, out_rows)
+        if demand.dtype == np.float64 and kernels.native() is not None:
+            return _greedy_fill_batch_native(demand, prefs, headroom, order, out, out_rows)
         return _greedy_fill_batch_numpy(
             demand, prefs, headroom, order, distinct_prefs, out, out_rows
         )
+
+
+def _greedy_fill_batch_native(
+    demand: np.ndarray,
+    prefs: np.ndarray,
+    headroom: np.ndarray,
+    order: np.ndarray,
+    out: np.ndarray | None,
+    out_rows: np.ndarray | None,
+) -> np.ndarray:
+    """Run the walk in the native kernel (bitwise-identical)."""
+    if out is None:
+        out = np.zeros((demand.shape[0], demand.shape[1], headroom.shape[1]))
+        out_rows = None
+    failure = kernels.greedy_walk(demand, prefs, headroom, order, out, out_rows)
+    if failure is not None:
+        t, s, remaining = failure
+        raise InfeasibleAllocationError(
+            f"could not place {remaining:.1f} hits/s for state index {s} at step {t}"
+        )
+    return out
 
 
 def _greedy_fill_batch_numpy(
@@ -649,32 +672,3 @@ def _fallback_spill_flat(
         rem -= take
     head_flat[hrows] = head_l
     return rem
-
-
-def _greedy_fill_batch_numba(
-    demand: np.ndarray,
-    prefs: np.ndarray,
-    headroom: np.ndarray,
-    order: np.ndarray,
-    out: np.ndarray | None,
-    out_rows: np.ndarray | None,
-) -> np.ndarray:
-    """Dispatch the walk to the njit kernel (bitwise-identical)."""
-    n_steps, n_states = demand.shape
-    n_clusters = headroom.shape[1]
-    prefs_all = np.ascontiguousarray(
-        np.broadcast_to(prefs, (n_steps, n_states, prefs.shape[-1])), dtype=np.int64
-    )
-    order64 = np.ascontiguousarray(order, dtype=np.int64)
-    allocation = np.zeros((n_steps, n_states, n_clusters), dtype=demand.dtype)
-    t, s, remaining = kernels.greedy_fill_steps_numba(
-        np.ascontiguousarray(demand), prefs_all, headroom, order64, allocation
-    )
-    if t >= 0:
-        raise InfeasibleAllocationError(
-            f"could not place {remaining:.1f} hits/s for state index {s} at step {t}"
-        )
-    if out is None:
-        return allocation
-    out[np.asarray(out_rows)] = allocation
-    return out

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import ConfigurationError
 from repro.routing.base import (
     RoutingProblem,
@@ -84,7 +85,14 @@ class PriceConsciousRouter:
         # Engine-dtype copy: a bitwise no-op on float64, and what
         # keeps the per-step choice tensors single-precision on float32.
         self._masked_distance = np.where(self._mask, distances, np.inf).astype(problem.dtype)
-        self._candidate_counts = np.array([c.size for c in self._candidates])
+        self._candidate_counts = np.array([c.size for c in self._candidates], dtype=np.int64)
+        # Native-kernel candidate table: ascending candidates per state,
+        # rows padded past their count with the first candidate.
+        width = int(self._candidate_counts.max())
+        self._candidate_table = np.array(
+            [np.pad(c, (0, width - c.size), mode="edge") for c in self._candidates],
+            dtype=np.int64,
+        )
         # Scalar-path fallback tables: the spill pass can only draw
         # from each state's non-candidate clusters, whose set is fixed
         # at construction even though prices reorder the candidates.
@@ -151,6 +159,11 @@ class PriceConsciousRouter:
         loads via one flat bincount over time. Steps whose single-best
         choice would overflow a limit drop back to the scalar greedy
         spill, so each step's slice equals ``allocate`` on that step.
+
+        On float64 runs with the native kernel loaded, the choice, the
+        fit test and the spill steps' preference orders come from one
+        native pass instead (bitwise identical); the spill steps then
+        take the same :func:`greedy_fill_batch` repair.
         """
         demand = _engine_float(np.asarray(demand))
         prices = np.asarray(prices, dtype=demand.dtype)
@@ -158,6 +171,30 @@ class PriceConsciousRouter:
         n_states, n_clusters = self._mask.shape
         limits = np.asarray(limits, dtype=demand.dtype)
         step_limits = np.broadcast_to(limits, (n_steps, n_clusters))
+
+        if demand.dtype == np.float64 and kernels.native() is not None:
+            # One native pass yields the fast steps' allocation and the
+            # spill steps' preference orders, in place of the masked
+            # tensors and the lexsort below.
+            allocation, fits, spill_prefs = kernels.price_prefs(
+                demand,
+                prices,
+                limits,
+                self._candidate_table,
+                self._candidate_counts,
+                self._distances,
+                self.price_threshold,
+            )
+            spill = np.flatnonzero(~fits)
+            if spill.size:
+                greedy_fill_batch(
+                    demand[spill],
+                    spill_prefs,
+                    step_limits[spill],
+                    out=allocation,
+                    out_rows=spill,
+                )
+            return allocation
 
         masked_prices = np.where(self._mask[None, :, :], prices[:, None, :], np.inf)
         cheapest = masked_prices.min(axis=2)

@@ -26,7 +26,8 @@ bodies — no framework, no new dependencies):
 Request bodies are bounded (``ServerConfig.max_body_bytes``): an
 oversized or unparseable ``Content-Length`` gets a ``413``/``400``
 and the connection is closed, because the body was never read and
-keep-alive framing cannot be trusted past it.
+keep-alive framing cannot be trusted past it. A ``Transfer-Encoding``
+body (chunked uploads) is refused the same way, with ``501``.
 
 Responses are JSON with full-precision floats (``repr`` round-trip),
 so a client replaying its recorded demand through an offline session
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
 from repro.serve.batcher import (
     DEFAULT_MAX_QUEUE,
     BackpressureError,
@@ -135,6 +137,9 @@ class RoutingServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
+        # Load (on a cold cache, build) the native routing kernel before
+        # the socket listens, so no request ever waits on a compile.
+        kernels.native()
         await self.batcher.start()
         kwargs = {"reuse_port": True} if self.config.reuse_port else {}
         self._server = await asyncio.start_server(
@@ -193,6 +198,13 @@ class RoutingServer:
                 must_close = False
                 try:
                     method, path, headers = _parse_head(head)
+                    if "transfer-encoding" in headers:
+                        # Only Content-Length framing is spoken; the
+                        # unread body makes the connection unusable.
+                        raise _HttpError(
+                            501, "Transfer-Encoding is not supported; send Content-Length",
+                            close=True,
+                        )
                     body = b""
                     length = _parse_content_length(
                         headers.get("content-length", "0"), self.config.max_body_bytes
@@ -244,6 +256,7 @@ class RoutingServer:
             429: "Too Many Requests",
             431: "Request Header Fields Too Large",
             500: "Internal Server Error",
+            501: "Not Implemented",
             503: "Service Unavailable",
         }
         # Retry-After must be a whole number of seconds on the wire
@@ -341,21 +354,29 @@ class RoutingServer:
     def _parse_demand(self, raw: object) -> np.ndarray:
         codes = self.session.state_codes
         if isinstance(raw, dict):
-            row = np.zeros(len(codes))
+            values = [0.0] * len(codes)
             index = {code: i for i, code in enumerate(codes)}
             for code, value in raw.items():
                 if code not in index:
                     raise _HttpError(400, f"unknown state code {code!r}")
-                row[index[code]] = value
+                values[index[code]] = value
         elif isinstance(raw, list):
             if len(raw) != len(codes):
                 raise _HttpError(
                     400, f"demand list must have {len(codes)} entries, got {len(raw)}"
                 )
-            row = np.asarray(raw, dtype=float)
+            values = raw
         else:
             raise _HttpError(400, "demand must be a list or {state: hits/s} mapping")
-        if not np.all(np.isfinite(row)) or np.any(row < 0):
+        # JSON numbers only: bools, strings, nulls and nested values are
+        # client mistakes, never something numpy should coerce.
+        if not all(type(v) is float or type(v) is int for v in values):
+            raise _HttpError(400, "demand values must be JSON numbers")
+        try:
+            row = np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond float range
+            row = None
+        if row is None or not np.all(np.isfinite(row)) or np.any(row < 0):
             raise _HttpError(400, "demand must be finite and non-negative")
         return row
 

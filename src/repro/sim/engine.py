@@ -142,10 +142,7 @@ class _AllocationReducer:
 
     def reduce_chunk(self, size: int) -> None:
         """Fold the first ``size`` buffered steps into the totals."""
-        if kernels.use_numba() and self._buffer.dtype == np.float64:
-            kernels.reduce_chunk_numba(self._buffer, size, self.total)
-        else:
-            self.total += self._buffer[:size].sum(axis=0, dtype=np.float64)
+        self.total += self._buffer[:size].sum(axis=0, dtype=np.float64)
 
     def histogram(self, bin_index: np.ndarray, n_bins: int) -> np.ndarray:
         """The demand-weighted distance histogram of the whole run."""

@@ -11,7 +11,7 @@ from datetime import datetime
 
 import pytest
 
-from repro import artifacts
+from repro import artifacts, kernels
 from repro.markets import MarketConfig, generate_market
 from repro.routing import BaselineProximityRouter, RoutingProblem
 from repro.sim import simulate
@@ -29,6 +29,12 @@ def _no_ambient_artifact_store(monkeypatch):
     artifacts.reset()
     yield
     artifacts.reset()
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """Run one test on the numpy kernels, as if the native one never loaded."""
+    monkeypatch.setattr(kernels, "_loaded", (None, "forced by the test suite"))
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,15 @@
 """Kernel selection, threaded chunk routing, and the float32 mode.
 
-The engine's raw-speed knobs must never move a result: the numba
-kernels (when the optional dependency is installed) and threaded chunk
-routing are gated on *bitwise* agreement with the default serial numpy
-engine across router kinds and cap modes, and the opt-in float32 mode
-is gated on documented tolerances rather than bit-identity.
+The engine's raw-speed knobs must never move a result: the native
+kernel and threaded chunk routing are gated on *bitwise* agreement with
+the numpy engine across router kinds and cap modes, and the opt-in
+float32 mode is gated on documented tolerances rather than
+bit-identity.
 """
 
 from __future__ import annotations
+
+import shutil
 
 import numpy as np
 import pytest
@@ -26,38 +28,20 @@ from repro.sim.engine import SimulationOptions, simulate
 from repro.traffic import akamai_like_deployment
 
 # ---------------------------------------------------------------------------
-# Environment-variable parsing
+# Kernel selection and environment-variable parsing
 
 
-def test_default_kernel_is_numpy(monkeypatch):
-    monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-    assert kernels.kernel_name() == "numpy"
-    assert not kernels.use_numba()
+def test_kernel_is_native_when_a_compiler_is_present():
+    """With a C compiler on PATH, a numpy fallback is a failure, not a pass."""
+    if not any(shutil.which(name) for name in kernels.COMPILERS):
+        pytest.skip("no C compiler on PATH; the numpy fallback is expected")
+    assert kernels.kernel_status() == "native"
+    assert kernels.native() is not None
 
 
-def test_kernel_env_parses_known_values(monkeypatch):
-    monkeypatch.setenv(kernels.KERNEL_ENV, "  NUMBA ")
-    assert kernels.kernel_name() == "numba"
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
-    assert kernels.kernel_name() == "numpy"
-    monkeypatch.setenv(kernels.KERNEL_ENV, "")
-    assert kernels.kernel_name() == "numpy"
-
-
-def test_unknown_kernel_rejected(monkeypatch):
-    monkeypatch.setenv(kernels.KERNEL_ENV, "fortran")
-    with pytest.raises(ConfigurationError, match="REPRO_ENGINE_KERNEL"):
-        kernels.kernel_name()
-
-
-def test_numba_request_without_numba_falls_back(monkeypatch):
-    """Requesting numba on a box without it must serve numpy, not raise."""
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numba")
-    if kernels.numba_available():
-        assert kernels.use_numba()
-    else:
-        assert not kernels.use_numba()
-    assert kernels.kernel_name() == "numba"  # the request itself is valid
+def test_forced_fallback_reports_numpy(numpy_kernel):
+    assert kernels.native() is None
+    assert kernels.kernel_status().startswith("numpy (")
 
 
 def test_threads_env_parsing(monkeypatch):
@@ -121,12 +105,10 @@ def references(short_trace, small_dataset, problem):
 
 @pytest.mark.parametrize("mode", [None, "95_5"])
 @pytest.mark.parametrize("kind", ROUTERS)
-def test_numba_kernel_bitwise_identical(
-    monkeypatch, short_trace, small_dataset, problem, references, kind, mode
+def test_numpy_fallback_bitwise_identical(
+    numpy_kernel, short_trace, small_dataset, problem, references, kind, mode
 ):
-    if not kernels.numba_available():
-        pytest.skip("numba not installed; CI's perf leg exercises this")
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numba")
+    """The references ran on the default (native) kernel."""
     options = SimulationOptions(bandwidth_caps=references[kind]["caps"]) if mode else None
     result = simulate(short_trace, small_dataset, problem, _build_router(kind, problem), options)
     assert _snapshot(result) == references[kind][mode]
