@@ -61,4 +61,5 @@ def hourly_signal_rows(
             f"got shape {signal.shape}"
         )
     hub_cols = [dataset.hub_column(code) for code in deployment.hub_codes]
-    return signal[_hour_indices(trace, dataset)][:, hub_cols]
+    hours = _hour_indices(trace.start, trace.step_seconds, trace.n_steps, dataset)
+    return signal[hours][:, hub_cols]

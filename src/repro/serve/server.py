@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
+from repro.errors import ConfigurationError
 from repro.serve.batcher import (
     DEFAULT_MAX_QUEUE,
     BackpressureError,
@@ -57,7 +58,7 @@ from repro.serve.batcher import (
     ServerDrainingError,
 )
 from repro.sim.rolling import RollingSession
-from repro.sim.session import RoutingSession, SessionExhaustedError
+from repro.sim.session import RoutingSession, SessionExhaustedError, validate_demand
 
 __all__ = ["RoutingServer", "ServerConfig"]
 
@@ -352,6 +353,11 @@ class RoutingServer:
         return payload
 
     def _parse_demand(self, raw: object) -> np.ndarray:
+        """One demand row from a JSON list or ``{state: hits/s}`` mapping.
+
+        :func:`~repro.sim.session.validate_demand` judges the values; a
+        refusal becomes a 400.
+        """
         codes = self.session.state_codes
         if isinstance(raw, dict):
             values = [0.0] * len(codes)
@@ -360,25 +366,13 @@ class RoutingServer:
                 if code not in index:
                     raise _HttpError(400, f"unknown state code {code!r}")
                 values[index[code]] = value
-        elif isinstance(raw, list):
-            if len(raw) != len(codes):
-                raise _HttpError(
-                    400, f"demand list must have {len(codes)} entries, got {len(raw)}"
-                )
-            values = raw
-        else:
+            raw = values
+        elif not isinstance(raw, list):
             raise _HttpError(400, "demand must be a list or {state: hits/s} mapping")
-        # JSON numbers only: bools, strings, nulls and nested values are
-        # client mistakes, never something numpy should coerce.
-        if not all(type(v) is float or type(v) is int for v in values):
-            raise _HttpError(400, "demand values must be JSON numbers")
         try:
-            row = np.array(values, dtype=float)
-        except OverflowError:  # an integer beyond float range
-            row = None
-        if row is None or not np.all(np.isfinite(row)) or np.any(row < 0):
-            raise _HttpError(400, "demand must be finite and non-negative")
-        return row
+            return validate_demand([raw], len(codes))[0]
+        except ConfigurationError as exc:
+            raise _HttpError(400, str(exc)) from exc
 
     async def _route(self, body: bytes) -> tuple[int, dict]:
         try:

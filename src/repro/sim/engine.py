@@ -7,43 +7,45 @@ Using these allocations, we modeled each cluster's energy consumption,
 and used observed hourly market prices to calculate energy
 expenditures."
 
-The engine walks a :class:`~repro.traffic.trace.TrafficTrace` (hourly
-or five-minute), hands the router the *lagged* prices (default one
-hour — §6.1 assumes the system reacts to the previous hour's prices)
-and the effective limits (cluster capacity, optionally the 95/5
-ceilings), and records loads, paid prices, and the client-server
-distance distribution into a :class:`~repro.sim.results.SimulationResult`.
+The engine walks a step grid (hourly or five-minute), hands the router
+the *lagged* prices (default one hour — §6.1 assumes the system reacts
+to the previous hour's prices) and the effective limits (cluster
+capacity, optionally the 95/5 ceilings), and records loads, paid
+prices, and the client-server distance distribution into a
+:class:`~repro.sim.results.SimulationResult`.
 
-Execution is a staged pipeline rather than a step loop:
+Every run mode drives one core of three parts:
 
-1. *Precompute* — the seen/paid price tensors for every step, the
-   effective limits, and the steps (if any) that must burst above the
-   95/5 ceilings, are all derived up front with array ops.
-2. *Batch allocate* — maximal runs of steps that share the same limits
-   are handed to the router's vectorised ``allocate_batch`` through
-   :func:`repro.routing.base.batch_allocate` (which falls back to
-   sequential per-step calls for routers without a batch form). Runs
-   are chunked to bound the peak size of the ``(T, n_states,
-   n_clusters)`` allocation tensor.
-3. *Reduce* — per-step loads, the 95/5 burst accounting, and the
-   distance histogram are accumulated with array reductions instead of
-   per-step ``bincount`` calls.
+1. :class:`_Window` — the shared precompute, built once per step grid
+   by :func:`_prepare`: seen and paid prices, the arrays the router
+   sees in the engine dtype, the capacity and 95/5 limits, the burst
+   threshold, the distance bins, and the validated server counts.
+   Nothing in it depends on demand, so replicas share it.
+2. :func:`_route` — allocates rows of demand under the per-step
+   contract (capped limits first, plain capacity when the router raises
+   under 95/5 caps). It is the only place that retry lives. Rows go
+   through the router's vectorised ``allocate_batch`` (via
+   :func:`repro.routing.base.batch_allocate`), except a single row,
+   which takes the scalar ``allocate`` call, and the rows the retry
+   replays one step at a time.
+3. :class:`_Run` — one replica's state: loads, 95/5 tracker, chunked
+   reducer and cursor. :meth:`_Run.fold` accounts allocations at the
+   cursor, reducing at the chunk boundaries every path shares;
+   :meth:`_Run.result` packages the run.
 
-:func:`simulate_per_step` preserves the original one-``allocate``-call-
-per-step loop as the reference implementation; the batched pipeline is
-required (and tested) to reproduce it *bit for bit*. Both paths fold
-per-step allocations through one shared chunked reducer
-(:class:`_AllocationReducer`) so even the floating-point summation
-order of the distance histogram is part of the contract.
+:func:`simulate` is one run fed chunk by chunk (chunks may route on a
+thread pool; folds stay serial and in order). :func:`simulate_many` is
+R runs over one window, whose routing calls fuse rows from several
+replicas — the router contract (slice ``t`` equals the scalar
+``allocate`` on step ``t``) makes fused calls bit-identical to
+per-replica ones. :class:`~repro.sim.session.RoutingSession` is a
+cursor around one run, fed as demand arrives.
 
-:func:`simulate_many` stacks R replica traces that share one market
-data set into a single batched pass: the price/limit precompute runs
-once, routing calls fuse steps from every replica (the router contract
-— slice ``t`` equals the scalar ``allocate`` on step ``t`` — makes
-fused calls bit-identical to per-replica ones), and each replica's
-allocations fold through its own reducer at the *same* chunk
-boundaries :func:`simulate` would use, so every returned result is bit
-for bit the one a standalone :func:`simulate` call produces.
+:func:`simulate_per_step` keeps the original one-``allocate``-call-per-
+step loop as the independent reference; every other path is required
+(and tested) to reproduce it *bit for bit*. It folds through the same
+:class:`_AllocationReducer`, so even the floating-point summation order
+of the distance histogram is part of the contract.
 
 Chunking is sized by memory, not by a step count: a chunk's
 ``(chunk, n_states, n_clusters)`` float64 allocation tensor is kept
@@ -60,6 +62,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from datetime import datetime
 from typing import Iterable
 
 import numpy as np
@@ -116,11 +119,11 @@ class _AllocationReducer:
 
     Floating-point addition is not associative, so the *order* in which
     per-step allocation tensors are summed is part of the engine's
-    contract: both pipelines push every step's allocation through this
+    contract: every path pushes every step's allocation through this
     reducer — a step-ordered chunk buffer reduced with ``sum(axis=0)``
-    at chunk boundaries — which makes the distance histograms of
-    :func:`simulate` and :func:`simulate_per_step` agree *bit for bit*,
-    not merely to rounding tolerance.
+    at chunk boundaries — which makes the distance histograms of every
+    run mode and :func:`simulate_per_step` agree *bit for bit*, not
+    merely to rounding tolerance.
 
     The chunk buffer holds allocations in the engine dtype (so a
     float32 run never materialises float64 copies of its chunks) while
@@ -132,11 +135,11 @@ class _AllocationReducer:
     def __init__(
         self, n_steps: int, n_states: int, n_clusters: int, dtype: np.dtype | type = np.float64
     ) -> None:
-        self._chunk = min(n_steps, batch_chunk_steps(n_states, n_clusters))
-        self._buffer = np.zeros((self._chunk, n_states, n_clusters), dtype=dtype)
+        self.chunk = min(n_steps, batch_chunk_steps(n_states, n_clusters))
+        self._buffer = np.zeros((self.chunk, n_states, n_clusters), dtype=dtype)
         self.total = np.zeros((n_states, n_clusters))
 
-    def put(self, offsets: np.ndarray | int, allocations: np.ndarray) -> None:
+    def put(self, offsets: slice | int, allocations: np.ndarray) -> None:
         """Record allocations at chunk-relative step offsets."""
         self._buffer[offsets] = allocations
 
@@ -204,71 +207,100 @@ class SimulationOptions:
             object.__setattr__(self, "bandwidth_caps", caps)
 
 
-def _burst_mask(limits: np.ndarray, demand: np.ndarray) -> np.ndarray:
-    """Steps whose total demand cannot fit under the summed limits."""
-    finite = np.isfinite(limits)
-    total_limit = float(np.sum(limits[finite])) + (np.inf if np.any(~finite) else 0.0)
-    return demand.sum(axis=1) > total_limit + 1e-6
-
-
-def _hour_indices(trace: TrafficTrace, dataset: MarketDataset) -> np.ndarray:
-    """Map every trace step to its hour index in the market calendar."""
+def _hour_indices(
+    start: datetime, step_seconds: int, n_steps: int, dataset: MarketDataset
+) -> np.ndarray:
+    """Map every step of a grid to its hour index in the market calendar."""
     calendar = dataset.calendar
-    offset_seconds = (trace.start - calendar.start).total_seconds()
+    offset_seconds = (start - calendar.start).total_seconds()
     if offset_seconds < 0:
         raise ConfigurationError("trace starts before the market calendar")
-    step_starts = offset_seconds + np.arange(trace.n_steps) * trace.step_seconds
+    step_starts = offset_seconds + np.arange(n_steps) * step_seconds
     hours = (step_starts // SECONDS_PER_HOUR).astype(np.int64)
     if hours[-1] >= calendar.n_hours:
         raise ConfigurationError("trace extends past the market calendar")
     return hours
 
 
-def _distance_bins(problem: RoutingProblem) -> tuple[np.ndarray, int]:
-    """Flat (state, cluster) -> histogram-bin mapping for a problem."""
-    distances = problem.distances.matrix
-    bin_index = np.minimum(
-        (distances / DISTANCE_BIN_KM).astype(np.int64),
-        int(DISTANCE_MAX_KM / DISTANCE_BIN_KM) - 1,
-    ).ravel()
-    return bin_index, int(DISTANCE_MAX_KM / DISTANCE_BIN_KM)
-
-
 @dataclass(frozen=True, slots=True)
-class _PreparedRun:
-    """Stage-1 output: everything derivable before any allocation."""
+class _Window:
+    """The shared precompute: everything a run derives before any demand.
 
+    ``prices``, ``limits`` and ``capacity_limits`` are what the router
+    sees, in the engine dtype: on the default float64 path they are the
+    float64 arrays themselves, while a float32 problem casts them once
+    so every routing call runs single-precision end to end. Billing
+    (``paid_prices``), loads and the reducer totals stay float64.
+    """
+
+    problem: RoutingProblem
+    start: datetime
+    step_seconds: int
+    n_steps: int
     seen_prices: np.ndarray
     paid_prices: np.ndarray
-    capacity_limits: np.ndarray
+    prices: np.ndarray
     limits: np.ndarray
-    tracker: Bandwidth95Tracker | None
-    burst_steps: np.ndarray
+    capacity_limits: np.ndarray
+    #: The 95/5 ceilings (each run keeps its own tracker), or None.
+    caps: np.ndarray | None
+    #: Rows whose total demand exceeds this must burst above the caps.
+    burst_total: float
     bin_index: np.ndarray
     n_bins: int
+    server_counts: np.ndarray
+    accounting_capacities: np.ndarray
+
+    def strict_burst(self, router: Router) -> bool:
+        """Whether burst rows may be batched instead of replayed.
+
+        Requires the router's ``strict_infeasibility`` promise *and* the
+        float64 engine: the burst predicate is float-identical to
+        greedy_fill's infeasibility test only when both run at the same
+        precision as the precompute.
+        """
+        return (
+            self.caps is not None
+            and self.problem.dtype == np.float64
+            and bool(getattr(router, "strict_infeasibility", False))
+        )
 
 
 def _prepare(
-    trace: TrafficTrace,
     dataset: MarketDataset,
     problem: RoutingProblem,
     opts: SimulationOptions,
-    router_prices: np.ndarray | None,
-) -> _PreparedRun:
-    """Precompute price tensors, effective limits, and burst steps."""
+    start: datetime,
+    step_seconds: int,
+    n_steps: int,
+    server_counts: np.ndarray | None = None,
+    router_prices: np.ndarray | None = None,
+) -> _Window:
+    """Precompute one window: prices, limits, burst threshold, accounting."""
     deployment = problem.deployment
+    n_clusters = deployment.n_clusters
 
-    if trace.state_codes != problem.state_codes:
-        raise ConfigurationError("trace state order does not match routing problem")
+    default_counts = np.array([c.n_servers for c in deployment.clusters], dtype=float)
+    if server_counts is None:
+        counts = default_counts
+        accounting_capacities = deployment.capacities
+    else:
+        counts = np.array(server_counts, dtype=float)
+        if counts.shape != (n_clusters,):
+            raise ConfigurationError("server_counts must have one entry per cluster")
+        # Energy accounting must see the capacity the *relocated* fleet
+        # provides at each site, or utilization (load / capacity) is
+        # computed against the wrong machine count.
+        hits_per_server = deployment.total_capacity / default_counts.sum()
+        accounting_capacities = counts * hits_per_server
 
-    hour_idx = _hour_indices(trace, dataset)
+    hour_idx = _hour_indices(start, step_seconds, n_steps, dataset)
     hub_columns = np.array([dataset.hub_column(code) for code in deployment.hub_codes])
     if router_prices is not None:
         seen_prices = np.asarray(router_prices, dtype=float)
-        if seen_prices.shape != (trace.n_steps, deployment.n_clusters):
+        if seen_prices.shape != (n_steps, n_clusters):
             raise ConfigurationError(
-                "router_prices must be (n_steps, n_clusters), got "
-                f"{seen_prices.shape}"
+                f"router_prices must be (n_steps, n_clusters), got {seen_prices.shape}"
             )
     else:
         lagged = dataset.lagged_price_matrix(opts.reaction_delay_hours)
@@ -276,84 +308,196 @@ def _prepare(
     paid_prices = dataset.price_matrix[hour_idx][:, hub_columns]
 
     if opts.relax_capacity:
-        capacity_limits = np.full(deployment.n_clusters, np.inf)
+        capacity_limits = np.full(n_clusters, np.inf)
     else:
         capacity_limits = deployment.capacities * opts.capacity_margin
 
-    tracker: Bandwidth95Tracker | None = None
+    caps = opts.bandwidth_caps
     limits = capacity_limits
-    burst_steps = np.zeros(trace.n_steps, dtype=bool)
-    if opts.bandwidth_caps is not None:
-        if opts.bandwidth_caps.shape != (deployment.n_clusters,):
+    burst_total = np.inf
+    if caps is not None:
+        if caps.shape != (n_clusters,):
             raise ConfigurationError(
                 "bandwidth caps must have one entry per cluster, got "
-                f"{opts.bandwidth_caps.shape[0]} for {deployment.n_clusters} clusters"
+                f"{caps.shape[0]} for {n_clusters} clusters"
             )
-        tracker = Bandwidth95Tracker(opts.bandwidth_caps, trace.n_steps)
-        limits = np.minimum(capacity_limits, tracker.limits())
-        # Steps whose national demand cannot fit under the 95/5 caps
-        # burst: the router is run against the plain capacity limits
+        limits = np.minimum(capacity_limits, caps)
+        # Rows whose national demand cannot fit under the 95/5 caps
+        # burst: the router runs against the plain capacity limits
         # instead (these are exactly the intervals where the baseline
         # itself exceeded its 95th percentile, so they fall in the
-        # billing-free 5% — the tracker verifies). The predicate
+        # billing-free 5% — the tracker verifies). The threshold
         # mirrors greedy_fill's infeasibility test.
-        burst_steps = _burst_mask(limits, trace.demand)
+        finite = np.isfinite(limits)
+        total = float(np.sum(limits[finite])) + (np.inf if np.any(~finite) else 0.0)
+        burst_total = total + 1e-6
 
-    bin_index, n_bins = _distance_bins(problem)
+    bin_index = np.minimum(
+        (problem.distances.matrix / DISTANCE_BIN_KM).astype(np.int64),
+        int(DISTANCE_MAX_KM / DISTANCE_BIN_KM) - 1,
+    ).ravel()
 
-    return _PreparedRun(
+    def routed(values: np.ndarray) -> np.ndarray:
+        return values if problem.dtype == np.float64 else values.astype(problem.dtype)
+
+    return _Window(
+        problem=problem,
+        start=start,
+        step_seconds=int(step_seconds),
+        n_steps=int(n_steps),
         seen_prices=seen_prices,
         paid_prices=paid_prices,
-        capacity_limits=capacity_limits,
-        limits=limits,
-        tracker=tracker,
-        burst_steps=burst_steps,
+        prices=routed(seen_prices),
+        limits=routed(limits),
+        capacity_limits=routed(capacity_limits),
+        caps=caps,
+        burst_total=burst_total,
         bin_index=bin_index,
-        n_bins=n_bins,
-    )
-
-
-def _finalize(
-    start,
-    step_seconds: int,
-    problem: RoutingProblem,
-    paid_prices: np.ndarray,
-    loads: np.ndarray,
-    histogram: np.ndarray,
-    server_counts: np.ndarray | None,
-) -> SimulationResult:
-    """Stage-3 output: package loads and accounting into a result.
-
-    Shared by the offline pipelines and the incremental
-    :class:`~repro.sim.session.RoutingSession`, so every path packages
-    identical accounting from identical inputs.
-    """
-    deployment = problem.deployment
-    capacities = deployment.capacities
-    default_counts = np.array([c.n_servers for c in deployment.clusters], dtype=float)
-    if server_counts is not None:
-        counts = np.asarray(server_counts, dtype=float)
-        if counts.shape != (deployment.n_clusters,):
-            raise ConfigurationError("server_counts must have one entry per cluster")
-        # Energy accounting must see the capacity the *relocated* fleet
-        # provides at each site, or utilization (load / capacity) is
-        # computed against the wrong machine count.
-        hits_per_server = deployment.total_capacity / default_counts.sum()
-        accounting_capacities = counts * hits_per_server
-    else:
-        counts = default_counts
-        accounting_capacities = capacities.copy()
-
-    return SimulationResult(
-        start=start,
-        step_seconds=step_seconds,
-        cluster_labels=deployment.labels,
-        capacities=accounting_capacities,
+        n_bins=int(DISTANCE_MAX_KM / DISTANCE_BIN_KM),
         server_counts=counts,
-        loads=loads,
-        paid_prices=paid_prices.copy(),
-        distance_histogram=histogram,
+        accounting_capacities=accounting_capacities,
     )
+
+
+def _trace_window(
+    trace: TrafficTrace,
+    dataset: MarketDataset,
+    problem: RoutingProblem,
+    options: SimulationOptions | None,
+    server_counts: np.ndarray | None,
+    router_prices: np.ndarray | None = None,
+) -> _Window:
+    """The window of an offline run over ``trace``."""
+    if trace.state_codes != problem.state_codes:
+        raise ConfigurationError("trace state order does not match routing problem")
+    return _prepare(
+        dataset,
+        problem,
+        options or SimulationOptions(),
+        trace.start,
+        trace.step_seconds,
+        trace.n_steps,
+        server_counts,
+        router_prices,
+    )
+
+
+def _route(router: Router, window: _Window, demand: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """Allocate rows of float64 demand, each at its own step's prices.
+
+    Every row gets :func:`simulate_per_step`'s semantics: capped limits
+    first, plain capacity when the router raises under 95/5 caps. Steps
+    never interact, so the rows need not be consecutive steps of one
+    trace — :func:`simulate_many` fuses rows of several replicas.
+
+    A single row takes the router's scalar ``allocate``, skipping the
+    batched dispatch (the serving fast path). More rows go through one
+    ``batch_allocate`` call, replayed step by step if the router still
+    raises under caps (the burst predicate below only anticipates
+    total-demand overflow, not per-cluster structure such as a capped
+    candidate set). Burst rows — whose total demand cannot fit under
+    the summed capped limits, at most the free 5% of intervals — get
+    plain capacity in that same call when the router is certain to
+    raise on them (:meth:`_Window.strict_burst`; per-row limits are
+    part of the batched-router contract), and are otherwise replayed,
+    which any router semantics (raising, clipping, ignoring limits)
+    reproduce exactly.
+    """
+    n_rows = demand.shape[0]
+    shape = (demand.shape[1], window.problem.n_clusters)
+    burst = None
+    if window.caps is not None and n_rows > 1:
+        burst = demand.sum(axis=1) > window.burst_total
+    if window.problem.dtype != np.float64:
+        demand = demand.astype(window.problem.dtype)
+
+    def step(t: int) -> np.ndarray:
+        try:
+            return router.allocate(demand[t], prices[t], window.limits)
+        except InfeasibleAllocationError:
+            if window.caps is None:
+                raise
+            return router.allocate(demand[t], prices[t], window.capacity_limits)
+
+    def batch(rows: slice | np.ndarray, limits: np.ndarray) -> np.ndarray:
+        try:
+            return batch_allocate(router, demand[rows], prices[rows], limits)
+        except InfeasibleAllocationError:
+            if window.caps is None:
+                raise
+            rows = np.arange(n_rows)[rows]
+            out = np.empty((rows.size, *shape), dtype=demand.dtype)
+            for i, t in enumerate(rows):
+                out[i] = step(t)
+            return out
+
+    if n_rows == 1:
+        return step(0)[None]
+    if burst is None or not burst.any():
+        return batch(slice(None), window.limits)
+    if window.strict_burst(router):
+        limits = np.where(burst[:, None], window.capacity_limits, window.limits)
+        return batch(slice(None), limits)
+    allocated = np.empty((n_rows, *shape), dtype=demand.dtype)
+    calm = np.flatnonzero(~burst)
+    if calm.size:
+        allocated[calm] = batch(calm, window.limits)
+    for t in np.flatnonzero(burst):
+        allocated[t] = step(t)
+    return allocated
+
+
+class _Run:
+    """One replica's state over a window: loads, tracker, reducer, cursor."""
+
+    def __init__(self, window: _Window) -> None:
+        problem = window.problem
+        self.window = window
+        self.loads = np.empty((window.n_steps, problem.n_clusters))
+        self.tracker = (
+            None if window.caps is None else Bandwidth95Tracker(window.caps, window.n_steps)
+        )
+        self.reducer = _AllocationReducer(
+            window.n_steps, problem.n_states, problem.n_clusters, dtype=problem.dtype
+        )
+        self.cursor = 0
+
+    def fold(self, allocations: np.ndarray) -> None:
+        """Account the next rows' allocations, starting at the cursor.
+
+        The reducer takes the rows split at chunk boundaries and reduces
+        each chunk as it completes, so however a run's rows are batched
+        its histogram is summed in one order.
+        """
+        t0 = self.cursor
+        t1 = t0 + allocations.shape[0]
+        self.loads[t0:t1] = allocations.sum(axis=1)
+        if self.tracker is not None:
+            self.tracker.record_batch(self.loads[t0:t1])
+        chunk = self.reducer.chunk
+        t = t0
+        while t < t1:
+            base = t - t % chunk
+            end = min(t1, base + chunk)
+            self.reducer.put(slice(t - base, end - base), allocations[t - t0 : end - t0])
+            if end - base == chunk or end == self.window.n_steps:
+                self.reducer.reduce_chunk(end - base)
+            t = end
+        self.cursor = t1
+
+    def result(self) -> SimulationResult:
+        """Package the run's loads and accounting."""
+        window = self.window
+        return SimulationResult(
+            start=window.start,
+            step_seconds=window.step_seconds,
+            cluster_labels=window.problem.deployment.labels,
+            capacities=window.accounting_capacities.copy(),
+            server_counts=window.server_counts.copy(),
+            loads=self.loads,
+            paid_prices=window.paid_prices.copy(),
+            distance_histogram=self.reducer.histogram(window.bin_index, window.n_bins),
+        )
 
 
 def simulate(
@@ -367,15 +511,12 @@ def simulate(
 ) -> SimulationResult:
     """Run one routing policy over a trace and price data set.
 
-    The batched pipeline: limits are constant over the whole run (the
-    95/5 caps never move once derived), so after precomputing the
-    price tensors the engine hands the router maximal runs of steps at
-    once — chunked to bound memory — and reserves per-step work for
-    the burst steps where demand exceeds the capped limits. Results
-    are identical, step for step, to :func:`simulate_per_step`, to the
-    stacked multi-replica pass (:func:`simulate_many`), and to an
-    incremental :class:`~repro.sim.session.RoutingSession` fed the
-    same demand rows.
+    One run fed chunk by chunk: each chunk's rows go through
+    :func:`_route` (on a thread pool when ``REPRO_ENGINE_THREADS`` asks
+    for one) and fold in chunk order. Results are identical, step for
+    step, to :func:`simulate_per_step`, to the stacked multi-replica
+    pass (:func:`simulate_many`), and to an incremental
+    :class:`~repro.sim.session.RoutingSession` fed the same demand rows.
 
     Parameters
     ----------
@@ -404,180 +545,42 @@ def simulate(
         market prices, and ``reaction_delay_hours`` does not apply to
         an override (lag it yourself if the signal calls for it).
     """
-    opts = options or SimulationOptions()
     with profiling.phase("precompute"):
-        prepared = _prepare(trace, dataset, problem, opts, router_prices)
-        route = _RouteArrays.build(problem, prepared, trace.demand)
-    n_steps = trace.n_steps
-    n_clusters = problem.n_clusters
-    chunk_steps = batch_chunk_steps(problem.n_states, n_clusters)
+        window = _trace_window(trace, dataset, problem, options, server_counts, router_prices)
+    run = _Run(window)
+    chunk_steps = batch_chunk_steps(problem.n_states, problem.n_clusters)
+    bounds = [
+        (lo, min(lo + chunk_steps, trace.n_steps)) for lo in range(0, trace.n_steps, chunk_steps)
+    ]
 
-    loads = np.empty((n_steps, n_clusters))
-    reducer = _AllocationReducer(n_steps, problem.n_states, n_clusters, dtype=problem.dtype)
-
-    strict_burst = _strict_burst(router, problem, prepared)
-
-    def route_chunk(lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Allocate one chunk's steps; returns (steps, allocations) runs."""
-        segments = []
-        chunk_burst = prepared.burst_steps[lo:hi]
+    def route_chunk(lo: int, hi: int) -> np.ndarray:
         with profiling.phase("routing"):
-            for selector, is_burst in ((~chunk_burst, False), (chunk_burst, True)):
-                steps = lo + np.flatnonzero(selector)
-                if steps.size == 0:
-                    continue
-                if is_burst:
-                    if strict_burst:
-                        # Burst steps under a strict router: raising on
-                        # the capped limits is *guaranteed* (the burst
-                        # predicate is the router's own infeasibility
-                        # test), so the try/except replay collapses to
-                        # one batched call against plain capacity.
-                        allocations = batch_allocate(
-                            router,
-                            route.demand[steps],
-                            route.prices[steps],
-                            route.capacity_limits,
-                        )
-                    else:
-                        # Steps whose total demand exceeds the summed
-                        # 95/5 caps are replayed per step under the
-                        # original contract, which any router semantics
-                        # (raising, clipping, ignoring limits)
-                        # reproduce exactly. They are at most the free
-                        # 5% of intervals, so the batch path's
-                        # throughput is untouched.
-                        allocations = _replay_with_retry(router, route, steps)
-                else:
-                    try:
-                        allocations = batch_allocate(
-                            router,
-                            route.demand[steps],
-                            route.prices[steps],
-                            route.limits,
-                        )
-                    except InfeasibleAllocationError:
-                        if prepared.tracker is None:
-                            raise
-                        # The burst predicate only anticipates
-                        # total-demand overflow; a router may still
-                        # raise on per-cluster structure (e.g. a capped
-                        # candidate set). Fall back to the per-step
-                        # contract for these steps.
-                        allocations = _replay_with_retry(router, route, steps)
-                segments.append((steps, allocations))
-        return segments
+            return _route(router, window, trace.demand[lo:hi], window.prices[lo:hi])
 
-    def consume(lo: int, hi: int, segments: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    def fold(allocations: np.ndarray) -> None:
         with profiling.phase("reduce"):
-            for steps, allocations in segments:
-                loads[steps] = allocations.sum(axis=1)
-                reducer.put(steps - lo, allocations)
-            reducer.reduce_chunk(hi - lo)
+            run.fold(allocations)
 
-    bounds = [(lo, min(lo + chunk_steps, n_steps)) for lo in range(0, n_steps, chunk_steps)]
     n_threads = kernels.engine_threads()
     if n_threads > 1 and len(bounds) > 1:
         # Chunk routing is embarrassingly parallel (steps never
-        # interact); the reduction below stays serial and in chunk
-        # order, so the float summation order — part of the
-        # bit-identity contract — is untouched. In-flight futures are
-        # bounded so peak memory stays at ~n_threads chunk tensors.
+        # interact); the folds stay serial and in chunk order, so the
+        # float summation order — part of the bit-identity contract —
+        # is untouched. In-flight futures are bounded so peak memory
+        # stays at ~n_threads chunk tensors.
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            pending = deque()
-            it = iter(bounds)
-            for b in bounds[:n_threads]:
-                next(it)
-                pending.append((b, pool.submit(route_chunk, *b)))
+            pending = deque(pool.submit(route_chunk, *b) for b in bounds[:n_threads])
+            for b in bounds[n_threads:]:
+                fold(pending.popleft().result())
+                pending.append(pool.submit(route_chunk, *b))
             while pending:
-                (lo, hi), fut = pending.popleft()
-                consume(lo, hi, fut.result())
-                nxt = next(it, None)
-                if nxt is not None:
-                    pending.append((nxt, pool.submit(route_chunk, *nxt)))
+                fold(pending.popleft().result())
     else:
         for lo, hi in bounds:
-            consume(lo, hi, route_chunk(lo, hi))
+            fold(route_chunk(lo, hi))
 
     with profiling.phase("finalize"):
-        if prepared.tracker is not None:
-            prepared.tracker.record_batch(loads)
-        histogram = reducer.histogram(prepared.bin_index, prepared.n_bins)
-        return _finalize(
-            trace.start,
-            trace.step_seconds,
-            problem,
-            prepared.paid_prices,
-            loads,
-            histogram,
-            server_counts,
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class _RouteArrays:
-    """The arrays the router actually sees, in the engine dtype.
-
-    On the default float64 path these are the prepared tensors
-    themselves (no copies); a float32 problem casts demand, prices,
-    and both limit vectors once up front so every routing call runs
-    single-precision end to end. Billing (``paid_prices``), loads, and
-    the reducer totals stay float64 either way.
-    """
-
-    demand: np.ndarray
-    prices: np.ndarray
-    limits: np.ndarray
-    capacity_limits: np.ndarray
-
-    @classmethod
-    def build(
-        cls, problem: RoutingProblem, prepared: _PreparedRun, demand: np.ndarray
-    ) -> _RouteArrays:
-        if problem.dtype == np.float64:
-            return cls(demand, prepared.seen_prices, prepared.limits, prepared.capacity_limits)
-        return cls(
-            demand.astype(problem.dtype),
-            prepared.seen_prices.astype(problem.dtype),
-            prepared.limits.astype(problem.dtype),
-            prepared.capacity_limits.astype(problem.dtype),
-        )
-
-
-def _strict_burst(router: Router, problem: RoutingProblem, prepared: _PreparedRun) -> bool:
-    """Whether burst steps may be batched instead of replayed.
-
-    Requires the router's ``strict_infeasibility`` promise *and* the
-    float64 engine: the burst predicate is float-identical to
-    greedy_fill's infeasibility test only when both run at the same
-    precision as the precompute.
-    """
-    return (
-        prepared.tracker is not None
-        and problem.dtype == np.float64
-        and bool(getattr(router, "strict_infeasibility", False))
-    )
-
-
-def _replay_with_retry(
-    router: Router,
-    route: _RouteArrays,
-    steps: np.ndarray,
-) -> np.ndarray:
-    """Reference semantics, one step at a time: capped limits first,
-    plain capacity when the router raises."""
-    n_clusters = route.capacity_limits.shape[0]
-    out = np.empty((steps.size, route.demand.shape[1], n_clusters), dtype=route.demand.dtype)
-    for i, t in enumerate(steps):
-        try:
-            out[i] = router.allocate(route.demand[t], route.prices[t], route.limits)
-        except InfeasibleAllocationError:
-            out[i] = router.allocate(
-                route.demand[t],
-                route.prices[t],
-                route.capacity_limits,
-            )
-    return out
+        return run.result()
 
 
 def simulate_per_step(
@@ -591,49 +594,32 @@ def simulate_per_step(
 ) -> SimulationResult:
     """Reference implementation: one ``allocate`` call per step.
 
-    This is the original §6.1 loop the batched pipeline replaces. It
-    is kept as the ground truth for equivalence tests and as the
-    baseline for the engine benchmark; the two must agree on loads,
-    costs, and distance histograms.
+    This is the original §6.1 loop, kept independent of :func:`_route`
+    and :meth:`_Run.fold` as the ground truth for equivalence tests and
+    as the baseline for the engine benchmark; every other path must
+    agree with it on loads, costs, and distance histograms.
     """
-    opts = options or SimulationOptions()
-    prepared = _prepare(trace, dataset, problem, opts, router_prices)
-    route = _RouteArrays.build(problem, prepared, trace.demand)
-    n_clusters = problem.n_clusters
-    chunk_steps = batch_chunk_steps(problem.n_states, n_clusters)
-
-    reducer = _AllocationReducer(trace.n_steps, problem.n_states, n_clusters, dtype=problem.dtype)
-    loads = np.empty((trace.n_steps, n_clusters))
+    window = _trace_window(trace, dataset, problem, options, server_counts, router_prices)
+    run = _Run(window)
+    demand = trace.demand if problem.dtype == np.float64 else trace.demand.astype(problem.dtype)
+    chunk_steps = batch_chunk_steps(problem.n_states, problem.n_clusters)
     for t in range(trace.n_steps):
         try:
-            allocation = router.allocate(route.demand[t], route.prices[t], route.limits)
+            allocation = router.allocate(demand[t], window.prices[t], window.limits)
         except InfeasibleAllocationError:
-            if prepared.tracker is None:
+            if window.caps is None:
                 raise
             # Demand cannot fit under the 95/5 caps this step: burst.
-            allocation = router.allocate(
-                route.demand[t],
-                route.prices[t],
-                route.capacity_limits,
-            )
+            allocation = router.allocate(demand[t], window.prices[t], window.capacity_limits)
         step_loads = allocation.sum(axis=0)
-        loads[t] = step_loads
-        if prepared.tracker is not None:
-            prepared.tracker.record(step_loads)
+        run.loads[t] = step_loads
+        if run.tracker is not None:
+            run.tracker.record(step_loads)
         offset = t % chunk_steps
-        reducer.put(offset, allocation)
+        run.reducer.put(offset, allocation)
         if offset == chunk_steps - 1 or t == trace.n_steps - 1:
-            reducer.reduce_chunk(offset + 1)
-    histogram = reducer.histogram(prepared.bin_index, prepared.n_bins)
-    return _finalize(
-        trace.start,
-        trace.step_seconds,
-        problem,
-        prepared.paid_prices,
-        loads,
-        histogram,
-        server_counts,
-    )
+            run.reducer.reduce_chunk(offset + 1)
+    return run.result()
 
 
 def simulate_many(
@@ -649,36 +635,26 @@ def simulate_many(
     The stacked multi-replica entry point for ensemble sweeps: all
     traces must share one market data set, one calendar window (same
     start, step count, and step size), and one state order — exactly
-    the shape of a sweep's seeded traffic replicas. The pass then
-
-    * runs the price/limit precompute **once** (the replicas see the
-      same lagged prices and pay the same market prices),
-    * hands the router **fused** routing calls — steps from every
-      replica stacked into one ``batch_allocate`` — whenever the fused
-      tensor fits the same :func:`batch_chunk_steps` memory budget a
-      single-replica chunk obeys, and
-    * folds each replica's allocations through its own
-      :class:`_AllocationReducer` at the same chunk boundaries
-      :func:`simulate` uses.
+    the shape of a sweep's seeded traffic replicas. The pass prepares
+    the window **once** (the replicas see the same lagged prices, pay
+    the same market prices and share the 95/5 caps), opens one run per
+    replica, and routes each chunk in **fused** calls that stack the
+    chunk's rows of several replicas, up to the same
+    :func:`batch_chunk_steps` budget a single-replica chunk obeys.
 
     Because a conformant ``allocate_batch`` computes each step
     independently (slice ``t`` equals the scalar ``allocate`` on step
     ``t`` — the contract the differential suites pin), fusing steps
     from different replicas into one call cannot change any step's
     allocation, and every returned result is bit-identical to a
-    standalone ``simulate(trace_r, ...)`` call.
-
-    95/5 caps (``options.bandwidth_caps``) are shared across replicas
-    — each replica gets its own :class:`Bandwidth95Tracker` and its
-    own burst-step accounting against the shared ceilings. Per-replica
-    caps (e.g. each replica following its *own* baseline) need
-    separate :func:`simulate` calls. ``router_prices`` overrides are
-    per-trace by nature and likewise excluded.
+    standalone ``simulate(trace_r, ...)`` call. Per-replica caps (e.g.
+    each replica following its *own* baseline) need separate
+    :func:`simulate` calls; ``router_prices`` overrides are per-trace by
+    nature and likewise excluded.
     """
     traces = tuple(traces)
     if not traces:
         return ()
-    opts = options or SimulationOptions()
     first = traces[0]
     for tr in traces[1:]:
         if (
@@ -693,125 +669,25 @@ def simulate_many(
             raise ConfigurationError("simulate_many traces must share state order")
 
     with profiling.phase("precompute"):
-        prepared = _prepare(first, dataset, problem, opts, None)
-        routes = [_RouteArrays.build(problem, prepared, tr.demand) for tr in traces]
-    n_replicas = len(traces)
-    n_steps = first.n_steps
-    n_states = problem.n_states
-    n_clusters = problem.n_clusters
-    chunk_steps = batch_chunk_steps(n_states, n_clusters)
-    strict_burst = _strict_burst(router, problem, prepared)
-
-    # Burst accounting is demand-driven, so it is per replica even
-    # though the caps (and the derived limits) are shared.
-    if prepared.tracker is not None:
-        trackers = [Bandwidth95Tracker(opts.bandwidth_caps, n_steps) for _ in range(n_replicas)]
-        bursts = [_burst_mask(prepared.limits, tr.demand) for tr in traces]
-    else:
-        trackers = [None] * n_replicas
-        bursts = [prepared.burst_steps] * n_replicas  # all-False, shared
-
-    loads = [np.empty((n_steps, n_clusters)) for _ in range(n_replicas)]
-    reducers = [
-        _AllocationReducer(n_steps, n_states, n_clusters, dtype=problem.dtype)
-        for _ in range(n_replicas)
-    ]
-
-    def _fast_segment(r: int, steps: np.ndarray) -> np.ndarray:
-        """One replica's non-burst steps under simulate's semantics."""
-        try:
-            return batch_allocate(
-                router,
-                routes[r].demand[steps],
-                routes[r].prices[steps],
-                routes[r].limits,
-            )
-        except InfeasibleAllocationError:
-            if trackers[r] is None:
-                raise
-            return _replay_with_retry(router, routes[r], steps)
-
-    for lo in range(0, n_steps, chunk_steps):
-        hi = min(lo + chunk_steps, n_steps)
-        segments = []  # (replica, non-burst steps) pairs for this chunk
-        for r in range(n_replicas):
-            steps = lo + np.flatnonzero(~bursts[r][lo:hi])
-            if steps.size:
-                segments.append((r, steps))
-
-        # Fuse consecutive segments into single routing calls, capped
-        # at the same per-call row budget a single-replica chunk has.
-        # Splitting or fusing calls never changes a step's allocation
-        # (steps are independent), so the grouping is free to chase
-        # throughput: short traces fuse all replicas into one call,
-        # chunk-length traces keep the single-replica call size.
-        group: list[tuple[int, np.ndarray]] = []
-        group_rows = 0
-        pending = segments + [None]  # sentinel flushes the last group
-        for item in pending:
-            if item is not None and (not group or group_rows + item[1].size <= chunk_steps):
-                group.append(item)
-                group_rows += item[1].size
-                continue
-            if group:
-                with profiling.phase("routing"):
-                    try:
-                        fused = batch_allocate(
-                            router,
-                            np.concatenate([routes[r].demand[steps] for r, steps in group]),
-                            np.concatenate([routes[0].prices[steps] for _, steps in group]),
-                            routes[0].limits,
-                        )
-                    except InfeasibleAllocationError:
-                        fused = None  # re-run the group per replica below
-                    if fused is None:
-                        parts = [_fast_segment(r, steps) for r, steps in group]
-                with profiling.phase("reduce"):
-                    offset = 0
-                    for g, (r, steps) in enumerate(group):
-                        if fused is None:
-                            allocations = parts[g]
-                        else:
-                            allocations = fused[offset : offset + steps.size]
-                        offset += steps.size
-                        loads[r][steps] = allocations.sum(axis=1)
-                        reducers[r].put(steps - lo, allocations)
-            group = [item] if item is not None else []
-            group_rows = item[1].size if item is not None else 0
-
-        for r in range(n_replicas):
-            burst_steps = lo + np.flatnonzero(bursts[r][lo:hi])
-            if burst_steps.size:
-                with profiling.phase("routing"):
-                    if strict_burst:
-                        allocations = batch_allocate(
-                            router,
-                            routes[r].demand[burst_steps],
-                            routes[r].prices[burst_steps],
-                            routes[r].capacity_limits,
-                        )
-                    else:
-                        allocations = _replay_with_retry(router, routes[r], burst_steps)
-                loads[r][burst_steps] = allocations.sum(axis=1)
-                reducers[r].put(burst_steps - lo, allocations)
+        window = _trace_window(first, dataset, problem, options, server_counts)
+    runs = [_Run(window) for _ in traces]
+    chunk_steps = batch_chunk_steps(problem.n_states, problem.n_clusters)
+    for lo in range(0, first.n_steps, chunk_steps):
+        hi = min(lo + chunk_steps, first.n_steps)
+        rows = hi - lo
+        per_call = max(1, chunk_steps // rows)
+        for g in range(0, len(traces), per_call):
+            group = range(g, min(g + per_call, len(traces)))
+            with profiling.phase("routing"):
+                allocations = _route(
+                    router,
+                    window,
+                    np.concatenate([traces[r].demand[lo:hi] for r in group]),
+                    np.concatenate([window.prices[lo:hi]] * len(group)),
+                )
             with profiling.phase("reduce"):
-                reducers[r].reduce_chunk(hi - lo)
+                for i, r in enumerate(group):
+                    runs[r].fold(allocations[i * rows : (i + 1) * rows])
 
     with profiling.phase("finalize"):
-        results = []
-        for r in range(n_replicas):
-            if trackers[r] is not None:
-                trackers[r].record_batch(loads[r])
-            histogram = reducers[r].histogram(prepared.bin_index, prepared.n_bins)
-            results.append(
-                _finalize(
-                    traces[r].start,
-                    traces[r].step_seconds,
-                    problem,
-                    prepared.paid_prices,
-                    loads[r],
-                    histogram,
-                    server_counts,
-                )
-            )
-        return tuple(results)
+        return tuple(run.result() for run in runs)

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sim.results import SimulationResult
-from repro.sim.session import RoutingSession, SessionExhaustedError
+from repro.sim.session import RoutingSession, SessionExhaustedError, validate_demand
 from repro.traffic.percentile import Bandwidth95Tracker
 
 __all__ = ["RollingSession"]
@@ -306,7 +306,7 @@ class RollingSession:
 
     def step(self, demand: np.ndarray) -> np.ndarray:
         """Route one step of demand; returns its allocation matrix."""
-        return self.feed(np.asarray(demand, dtype=float)[None, :])[0]
+        return self.feed([demand])[0]
 
     def feed(self, demand: np.ndarray) -> np.ndarray:
         """Route ``k`` consecutive steps, rolling windows as needed.
@@ -319,18 +319,12 @@ class RollingSession:
 
         Raises
         ------
+        ConfigurationError
+            If the demand fails :func:`~repro.sim.session.validate_demand`.
         SessionExhaustedError
             If the provider cannot supply enough window capacity.
         """
-        current = self._sessions[self._active] if self._active < len(self._sessions) else None
-        if current is None:
-            # All fetched windows are done (or evicted): we only need
-            # the provider to move forward.
-            fetched = self._fetch_next()
-            if fetched is None:
-                raise SessionExhaustedError("rolling session horizon exhausted")
-            current = fetched
-        rows = current._validate_demand(demand)
+        rows = validate_demand(demand, len(self._state_codes))
         k = rows.shape[0]
 
         capacity = sum(

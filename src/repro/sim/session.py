@@ -2,33 +2,24 @@
 
 The offline pipelines (:func:`repro.sim.simulate` and friends) replay
 a complete :class:`~repro.traffic.trace.TrafficTrace`; a
-:class:`RoutingSession` is the same engine turned inside out for the
-online serving path. The session is opened against a market window —
-prices for every step of the declared horizon are materialised up
-front from any :class:`~repro.markets.providers.PriceProvider`-backed
-dataset, since prices never depend on demand — and demand then arrives
-*step by step* (or in micro-batches): each :meth:`feed` call routes
-the new steps immediately and returns their allocations.
+:class:`RoutingSession` is a cursor around the same engine core for the
+online serving path. Opening a session prepares the engine's shared
+window over the declared horizon — prices for every step are
+materialised up front from any
+:class:`~repro.markets.providers.PriceProvider`-backed dataset, since
+prices never depend on demand — and opens one run over it. Demand then
+arrives *step by step* (or in micro-batches): each :meth:`feed` call
+checks the rows with :func:`validate_demand`, routes them through the
+engine's ``_route`` and folds them into the run.
 
-The contract is the repository's usual one, extended to time: feeding
-a demand sequence through a session is **bit-identical** to running
-:func:`~repro.sim.simulate` offline over a trace with the same rows.
-Concretely,
-
-* each step is routed under :func:`simulate_per_step`'s semantics
-  (capped limits first, plain capacity when a 95/5-capped step's
-  demand cannot fit — the per-step try/except contract every pipeline
-  reproduces), with micro-batches going through the router's
-  vectorised ``allocate_batch`` (whose step ``t`` slice equals the
-  scalar call bitwise, per the batched-router contract);
-* the rolling :class:`~repro.traffic.percentile.Bandwidth95Tracker`
-  accounts realised loads exactly as the offline run would; and
-* allocations fold through the engine's shared chunked
-  :class:`~repro.sim.engine._AllocationReducer` at the *same* chunk
-  boundaries, so when the horizon completes, :meth:`result` returns a
-  :class:`~repro.sim.results.SimulationResult` whose loads, paid
-  prices, and distance histogram match the offline run bit for bit
-  (pinned by ``tests/test_sim_session.py``).
+Because a session runs the very precompute, routing and fold that
+:func:`~repro.sim.simulate` runs, feeding a demand sequence through it
+is **bit-identical** to the offline run over a trace with the same
+rows, in any micro-batching: the same allocations, the same rolling
+:class:`~repro.traffic.percentile.Bandwidth95Tracker` accounting, and,
+once the horizon completes, a :meth:`result` whose loads, paid prices
+and distance histogram match bit for bit (pinned by
+``tests/test_sim_session.py``).
 
 Sessions are the substrate of :mod:`repro.serve`'s micro-batching
 server; open one from a registered scenario with
@@ -37,41 +28,79 @@ server; open one from a registered scenario with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from repro.errors import ConfigurationError, InfeasibleAllocationError
+from repro.errors import ConfigurationError
 from repro.markets.generator import MarketDataset
-from repro.routing.base import Router, RoutingProblem, batch_allocate
-from repro.sim.engine import (
-    SimulationOptions,
-    _AllocationReducer,
-    _distance_bins,
-    _finalize,
-    _hour_indices,
-    _replay_with_retry,
-    _RouteArrays,
-    batch_chunk_steps,
-)
+from repro.routing.base import Router, RoutingProblem
+from repro.sim.engine import SimulationOptions, _prepare, _route, _Run
 from repro.sim.results import SimulationResult
 from repro.traffic.percentile import Bandwidth95Tracker
 
-__all__ = ["RoutingSession", "SessionExhaustedError"]
+__all__ = ["RoutingSession", "SessionExhaustedError", "validate_demand"]
+
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
 
 
 class SessionExhaustedError(ConfigurationError):
     """Raised when demand is fed past the session's declared horizon."""
 
 
-@dataclass(frozen=True, slots=True)
-class _Window:
-    """The trace-shaped window handed to the engine's hour mapper."""
+def _is_number(value: object) -> bool:
+    return isinstance(value, _NUMBER_TYPES) and not isinstance(value, bool)
 
-    start: datetime
-    step_seconds: int
-    n_steps: int
+
+def _holds_numbers(value: object) -> bool:
+    """A number, a numeric array, or a list or tuple of numbers."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(map(_is_number, value))
+    return _is_number(value)
+
+
+def validate_demand(demand: object, n_states: int) -> np.ndarray:
+    """The one check all demand passes before it is routed.
+
+    Accepts a numeric array, or a list or tuple of numbers or of rows
+    of numbers, shaped ``(n_states,)`` (promoted to one row) or
+    ``(k, n_states)`` with ``k >= 1``; every value must be finite and
+    non-negative. Bools, strings, ``None`` and other objects are not
+    numbers, even where numpy would coerce them, and ragged or deeper
+    nesting is not a matrix. Returns the rows as float64.
+
+    Raises
+    ------
+    ConfigurationError
+        For anything else; nothing has been routed.
+    """
+    if isinstance(demand, np.ndarray):
+        if demand.dtype.kind not in "iuf":
+            raise ConfigurationError(f"demand must be numeric, got dtype {demand.dtype}")
+        rows = demand.astype(float, copy=False)
+    elif isinstance(demand, (list, tuple)) and all(map(_holds_numbers, demand)):
+        try:
+            rows = np.array(demand, dtype=float)
+        except (ValueError, OverflowError) as exc:  # ragged, or an int past float range
+            raise ConfigurationError(f"demand must be a matrix of finite numbers: {exc}") from exc
+    else:
+        raise ConfigurationError(
+            "demand must be a list or array of numbers (not bool, string or object values)"
+        )
+    shape = rows.shape
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    if rows.ndim != 2 or rows.shape[1] != n_states:
+        raise ConfigurationError(
+            f"demand must be ({n_states},) or (k, {n_states}), got shape {shape}"
+        )
+    if rows.shape[0] == 0:
+        raise ConfigurationError("feed needs at least one step of demand")
+    if np.any(rows < 0) or not np.all(np.isfinite(rows)):
+        raise ConfigurationError("demand must be finite and non-negative")
+    return rows
 
 
 class RoutingSession:
@@ -100,7 +129,7 @@ class RoutingSession:
         an open-ended stream; it must fit the dataset's calendar.
     server_counts:
         Energy-accounting server counts per cluster (see
-        :func:`~repro.sim.simulate`).
+        :func:`~repro.sim.simulate`); checked here, not at the end.
     """
 
     def __init__(
@@ -119,62 +148,17 @@ class RoutingSession:
             raise ConfigurationError("session horizon must be at least one step")
         if step_seconds < 1:
             raise ConfigurationError("step_seconds must be positive")
-        opts = options or SimulationOptions()
-        deployment = problem.deployment
-
-        window = _Window(start=start, step_seconds=step_seconds, n_steps=n_steps)
-        hour_idx = _hour_indices(window, dataset)
-        hub_columns = np.array([dataset.hub_column(code) for code in deployment.hub_codes])
-        # Prices depend only on the calendar, never on demand, so the
-        # whole horizon's price state is precomputed exactly as the
-        # offline _prepare stage would (same fancy-indexing, same bits).
-        lagged = dataset.lagged_price_matrix(opts.reaction_delay_hours)
-        self._seen_prices = lagged[hour_idx][:, hub_columns]
-        self._paid_prices = dataset.price_matrix[hour_idx][:, hub_columns]
-
-        if opts.relax_capacity:
-            capacity_limits = np.full(deployment.n_clusters, np.inf)
-        else:
-            capacity_limits = deployment.capacities * opts.capacity_margin
-
-        self._tracker: Bandwidth95Tracker | None = None
-        limits = capacity_limits
-        if opts.bandwidth_caps is not None:
-            if opts.bandwidth_caps.shape != (deployment.n_clusters,):
-                raise ConfigurationError(
-                    "bandwidth caps must have one entry per cluster, got "
-                    f"{opts.bandwidth_caps.shape[0]} for {deployment.n_clusters} clusters"
-                )
-            self._tracker = Bandwidth95Tracker(opts.bandwidth_caps, n_steps)
-            limits = np.minimum(capacity_limits, self._tracker.limits())
-
-        self._dataset = dataset
-        self._problem = problem
-        self._router = router
-        self._options = opts
-        self._start = start
-        self._step_seconds = int(step_seconds)
-        self._n_steps = int(n_steps)
-        self._server_counts = server_counts
-        self._bin_index, self._n_bins = _distance_bins(problem)
-
-        # The router sees arrays in the engine dtype; billing and the
-        # reducer totals stay float64 (the _RouteArrays split).
-        if problem.dtype == np.float64:
-            self._route_prices = self._seen_prices
-            self._limits = limits
-            self._capacity_limits = capacity_limits
-        else:
-            self._route_prices = self._seen_prices.astype(problem.dtype)
-            self._limits = limits.astype(problem.dtype)
-            self._capacity_limits = capacity_limits.astype(problem.dtype)
-
-        self._chunk_steps = batch_chunk_steps(problem.n_states, problem.n_clusters)
-        self._reducer = _AllocationReducer(
-            n_steps, problem.n_states, problem.n_clusters, dtype=problem.dtype
+        self._window = _prepare(
+            dataset,
+            problem,
+            options or SimulationOptions(),
+            start,
+            step_seconds,
+            n_steps,
+            server_counts,
         )
-        self._loads = np.empty((n_steps, problem.n_clusters))
-        self._cursor = 0
+        self._router = router
+        self._run = _Run(self._window)
         self._result: SimulationResult | None = None
 
     # -- introspection ---------------------------------------------------------
@@ -182,41 +166,41 @@ class RoutingSession:
     @property
     def n_steps(self) -> int:
         """The declared horizon, in steps."""
-        return self._n_steps
+        return self._window.n_steps
 
     @property
     def step_seconds(self) -> int:
         """Seconds per step on the session's grid."""
-        return self._step_seconds
+        return self._window.step_seconds
 
     @property
     def steps_fed(self) -> int:
         """How many steps have been routed so far."""
-        return self._cursor
+        return self._run.cursor
 
     @property
     def steps_remaining(self) -> int:
         """Horizon steps not yet fed."""
-        return self._n_steps - self._cursor
+        return self.n_steps - self._run.cursor
 
     @property
     def exhausted(self) -> bool:
         """True once the whole horizon has been routed."""
-        return self._cursor >= self._n_steps
+        return self._run.cursor >= self.n_steps
 
     @property
     def cluster_labels(self) -> tuple[str, ...]:
-        return self._problem.deployment.labels
+        return self._window.problem.deployment.labels
 
     @property
     def state_codes(self) -> tuple[str, ...]:
         """Column order :meth:`feed` expects demand in."""
-        return self._problem.state_codes
+        return self._window.problem.state_codes
 
     @property
     def tracker(self) -> Bandwidth95Tracker | None:
         """The rolling 95/5 tracker (None when the run is unconstrained)."""
-        return self._tracker
+        return self._run.tracker
 
     def _check_step(self, step: int, *, end: int) -> int:
         """Validate a step index against the horizon (``[0, end]``)."""
@@ -233,33 +217,18 @@ class RoutingSession:
         ``step == n_steps`` is allowed — it is the end boundary of the
         horizon (the start of the next billing window).
         """
-        t = self._cursor if step is None else self._check_step(step, end=self._n_steps)
-        return self._start + timedelta(seconds=t * self._step_seconds)
+        t = self._run.cursor if step is None else self._check_step(step, end=self.n_steps)
+        return self._window.start + timedelta(seconds=t * self.step_seconds)
 
     def seen_prices(self, step: int) -> np.ndarray:
         """The (lagged) per-cluster prices the router sees at ``step``."""
-        return self._seen_prices[self._check_step(step, end=self._n_steps - 1)].copy()
+        return self._window.seen_prices[self._check_step(step, end=self.n_steps - 1)].copy()
 
     def paid_prices(self, step: int) -> np.ndarray:
         """The per-cluster market prices billed at ``step``."""
-        return self._paid_prices[self._check_step(step, end=self._n_steps - 1)].copy()
+        return self._window.paid_prices[self._check_step(step, end=self.n_steps - 1)].copy()
 
     # -- feeding ---------------------------------------------------------------
-
-    def _validate_demand(self, demand: np.ndarray) -> np.ndarray:
-        arr = np.asarray(demand, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self._problem.n_states:
-            raise ConfigurationError(
-                f"demand must be ({self._problem.n_states},) or "
-                f"(k, {self._problem.n_states}), got shape {np.asarray(demand).shape}"
-            )
-        if arr.shape[0] == 0:
-            raise ConfigurationError("feed needs at least one step of demand")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ConfigurationError("demand must be finite and non-negative")
-        return arr
 
     def step(self, demand: np.ndarray) -> np.ndarray:
         """Route one step of demand; returns its allocation matrix.
@@ -267,96 +236,39 @@ class RoutingSession:
         The ``(n_states, n_clusters)`` return equals what the offline
         engine would have allocated at this position in the horizon.
         """
-        return self.feed(np.asarray(demand, dtype=float)[None, :])[0]
+        return self.feed([demand])[0]
 
     def feed(self, demand: np.ndarray) -> np.ndarray:
         """Route a micro-batch of ``k`` consecutive steps.
 
         ``demand`` is ``(k, n_states)`` (a single ``(n_states,)`` row
-        is promoted); the return is the ``(k, n_states, n_clusters)``
-        allocation tensor. Feeding ``[a, b]`` in one call is
-        bit-identical to ``feed([a]); feed([b])`` — micro-batching is
-        a throughput decision, never a semantic one — which is what
-        lets the serving layer coalesce concurrent requests freely.
+        is promoted; see :func:`validate_demand`); the return is the
+        ``(k, n_states, n_clusters)`` allocation tensor. Feeding
+        ``[a, b]`` in one call is bit-identical to ``feed([a]);
+        feed([b])`` — micro-batching is a throughput decision, never a
+        semantic one — which is what lets the serving layer coalesce
+        concurrent requests freely. A batch that raises consumes no
+        step.
 
         Raises
         ------
+        ConfigurationError
+            If the demand fails :func:`validate_demand`.
         SessionExhaustedError
             If the batch would run past the declared horizon.
         InfeasibleAllocationError
             If a step's demand cannot be placed even against plain
             capacity (or, unconstrained, at all).
         """
-        rows = self._validate_demand(demand)
-        k = rows.shape[0]
-        t0 = self._cursor
-        if t0 + k > self._n_steps:
+        rows = validate_demand(demand, len(self.state_codes))
+        t0, k = self._run.cursor, rows.shape[0]
+        if t0 + k > self.n_steps:
             raise SessionExhaustedError(
                 f"feeding {k} step(s) at step {t0} exceeds the session horizon "
-                f"({self._n_steps} steps)"
+                f"({self.n_steps} steps)"
             )
-
-        route_demand = rows if self._problem.dtype == np.float64 else rows.astype(
-            self._problem.dtype
-        )
-        prices = self._route_prices[t0 : t0 + k]
-        if k == 1:
-            # Scalar fast path: a single step skips the batched
-            # dispatch (shape validation, output-tensor setup) and
-            # calls the router's scalar ``allocate`` directly. The
-            # batched-router contract — slice ``t`` of a batch equals
-            # the scalar call on step ``t``, bitwise — makes the two
-            # paths interchangeable; the retry below *is* the per-step
-            # contract verbatim.
-            try:
-                allocations = self._router.allocate(
-                    route_demand[0], prices[0], self._limits
-                )[None]
-            except InfeasibleAllocationError:
-                if self._tracker is None:
-                    raise
-                allocations = self._router.allocate(
-                    route_demand[0], prices[0], self._capacity_limits
-                )[None]
-        else:
-            try:
-                allocations = batch_allocate(self._router, route_demand, prices, self._limits)
-            except InfeasibleAllocationError:
-                if self._tracker is None:
-                    raise
-                # The offline per-step contract: capped limits first, plain
-                # capacity when the router raises (a 95/5 burst step).
-                route = _RouteArrays(
-                    demand=route_demand,
-                    prices=prices,
-                    limits=self._limits,
-                    capacity_limits=self._capacity_limits,
-                )
-                allocations = _replay_with_retry(self._router, route, np.arange(k))
-
-        loads = allocations.sum(axis=1)
-        self._loads[t0 : t0 + k] = loads
-        if self._tracker is not None:
-            self._tracker.record_batch(self._loads[t0 : t0 + k])
-
-        # Fold through the shared reducer at the offline chunk
-        # boundaries (offsets are chunk-relative; a batch may span a
-        # boundary, so the fold is segmented).
-        chunk = self._chunk_steps
-        i = 0
-        while i < k:
-            t = t0 + i
-            offset = t % chunk
-            span = min(k - i, chunk - offset, self._n_steps - t)
-            self._reducer.put(
-                np.arange(offset, offset + span), allocations[i : i + span]
-            )
-            last = t + span - 1
-            if (last + 1) % chunk == 0 or last == self._n_steps - 1:
-                self._reducer.reduce_chunk((last % chunk) + 1)
-            i += span
-
-        self._cursor = t0 + k
+        allocations = _route(self._router, self._window, rows, self._window.prices[t0 : t0 + k])
+        self._run.fold(allocations)
         return allocations
 
     # -- finalisation ----------------------------------------------------------
@@ -370,18 +282,9 @@ class RoutingSession:
         """
         if not self.exhausted:
             raise ConfigurationError(
-                f"session has routed {self._cursor}/{self._n_steps} steps; "
+                f"session has routed {self._run.cursor}/{self.n_steps} steps; "
                 "the result is defined over the full horizon"
             )
         if self._result is None:
-            histogram = self._reducer.histogram(self._bin_index, self._n_bins)
-            self._result = _finalize(
-                self._start,
-                self._step_seconds,
-                self._problem,
-                self._paid_prices,
-                self._loads,
-                histogram,
-                self._server_counts,
-            )
+            self._result = self._run.result()
         return self._result

@@ -30,7 +30,7 @@ or from the command line::
 
 from repro.sweeps.aggregate import CellStats, MetricStats, SweepResult, aggregate, bootstrap_ci
 from repro.sweeps.checkpoint import CampaignCheckpoint, campaign_status
-from repro.sweeps.executor import group_points, run_sweep
+from repro.sweeps.executor import run_sweep
 from repro.sweeps.metrics import METRIC_NAMES, point_metrics
 from repro.sweeps.planner import DEFAULT_GROUP_POINTS, WorkGroup, count_groups, plan_groups
 from repro.sweeps.registry import REGISTRY, get, names, register
@@ -64,7 +64,6 @@ __all__ = [
     "WorkGroup",
     "plan_groups",
     "count_groups",
-    "group_points",
     "run_sweep",
     "CampaignCheckpoint",
     "campaign_status",

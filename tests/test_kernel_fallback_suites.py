@@ -22,6 +22,8 @@ SUITES = (
     "test_engine_differential",
     "test_sim_engine_many",
     "test_routing_joint_batch",
+    "test_sim_session",
+    "test_sim_rolling",
 )
 
 

@@ -136,14 +136,10 @@ class TestExecutorBucketing:
     def test_provider_axis_fans_out_across_buckets(self):
         # One market under five providers is five data sets: the pool
         # must see five buckets, not one silently-serial group.
-        from repro.sweeps.executor import group_points
-        from repro.sweeps.spec import expand
-
-        points = expand(sweeps.get("provider-grid"))
-        groups = group_points(points)
+        groups = list(sweeps.plan_groups(sweeps.get("provider-grid")))
         assert len(groups) == 5
         for group in groups:
-            providers = {p.scenario.provider for p in group}
+            providers = {p.scenario.provider for p in group.points}
             assert len(providers) == 1
 
 

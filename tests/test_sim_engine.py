@@ -148,6 +148,17 @@ class TestSimulate:
                 server_counts=np.ones(3),
             )
 
+    def test_bad_server_counts_fail_before_any_routing(self, short_trace, small_dataset, problem):
+        class Unreachable:
+            def allocate(self, *args):
+                pytest.fail("routed a trace whose server counts were already invalid")
+
+            allocate_batch = allocate
+
+        for run in (simulate, simulate_per_step):
+            with pytest.raises(ConfigurationError, match="server_counts"):
+                run(short_trace, small_dataset, problem, Unreachable(), server_counts=np.ones(3))
+
 
 class TestBandwidthConstraints:
     def test_followed_caps_bind(self, trace24, small_dataset, problem, baseline24):

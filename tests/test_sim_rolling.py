@@ -375,3 +375,17 @@ def test_scenario_rolling_session_matches_windowed_offline_replay():
         scenarios.open_rolling_session(scenario, window_steps=40, max_windows=10**9)
     with pytest.raises(ConfigurationError, match="window_steps"):
         scenarios.open_rolling_session(scenario, window_steps=0)
+
+
+def test_rolling_feed_refuses_non_numeric_demand(small_dataset, problem):
+    trace = make_trace(TraceConfig(start=_START, n_steps=8, seed=4))
+    roller = _make_roller(
+        small_dataset, problem, BaselineProximityRouter(problem), None, trace, [4, 4]
+    )
+    n = problem.n_states
+    for bad in (["1.0"] * n, [True] * n, [[1.0] * n, [1.0]]):
+        with pytest.raises(ConfigurationError):
+            roller.feed(bad)
+    assert roller.steps_fed == 0
+    roller.feed(trace.demand)
+    assert roller.steps_fed == 8

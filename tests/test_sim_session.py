@@ -23,7 +23,7 @@ from repro.routing.joint import JointOptimizationRouter
 from repro.routing.price import PriceConsciousRouter
 from repro.routing.static import StaticSingleHubRouter, cheapest_cluster_index
 from repro.sim.engine import SimulationOptions, simulate
-from repro.sim.session import RoutingSession, SessionExhaustedError
+from repro.sim.session import RoutingSession, SessionExhaustedError, validate_demand
 from repro.traffic.percentile import percentile_95
 from repro.traffic.synthetic import TraceConfig, make_trace
 
@@ -294,3 +294,62 @@ def test_session_clock_and_price_introspection(small_dataset, problem):
         np.stack([session.paid_prices(t) for t in range(trace.n_steps)]),
         offline.paid_prices,
     )
+
+
+def _bad_demand(n: int) -> dict:
+    return {
+        "numeric strings": ["1.0"] * n,
+        "bools": [True] * n,
+        "one bool among floats": [1.0] * (n - 1) + [False],
+        "nulls": [None] * n,
+        "ragged rows": [[1.0] * n, [1.0] * (n - 1)],
+        "nested rows": [[[1.0]] * n],
+        "a mapping": {"CA": 1.0},
+        "a scalar": 1.0,
+        "bool array": np.ones(n, dtype=bool),
+        "string array": np.full(n, "1"),
+        "object array": np.full(n, 1.0, dtype=object),
+        "int past float range": [10**400] + [1] * (n - 1),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_bad_demand(3)))
+def test_session_refuses_non_numeric_demand_without_consuming_a_step(
+    kind, small_dataset, problem
+):
+    trace = make_trace(TraceConfig(start=_WINDOW_START, n_steps=4, seed=5))
+    session = RoutingSession(
+        small_dataset,
+        problem,
+        BaselineProximityRouter(problem),
+        start=trace.start,
+        step_seconds=trace.step_seconds,
+        n_steps=trace.n_steps,
+    )
+    with pytest.raises(ConfigurationError):
+        session.feed(_bad_demand(problem.n_states)[kind])
+    assert session.steps_fed == 0
+    session.feed(trace.demand[:1])
+    assert session.steps_fed == 1
+
+
+def test_validate_demand_accepts_numbers_in_any_container():
+    expected = np.array([[1.0, 2.0, 0.0]])
+    for demand in ([1, 2.0, 0], (1, 2, 0), [np.int64(1), np.float32(2), 0], np.array([1, 2, 0])):
+        rows = validate_demand(demand, 3)
+        assert rows.dtype == np.float64 and np.array_equal(rows, expected)
+    rows = validate_demand([np.array([1.0, 2.0, 0.0]), [3, 4, 5]], 3)
+    assert rows.shape == (2, 3)
+
+
+def test_session_rejects_server_counts_when_opened(small_dataset, problem):
+    with pytest.raises(ConfigurationError, match="server_counts"):
+        RoutingSession(
+            small_dataset,
+            problem,
+            BaselineProximityRouter(problem),
+            start=_WINDOW_START,
+            step_seconds=3600,
+            n_steps=4,
+            server_counts=np.ones(3),
+        )

@@ -269,11 +269,10 @@ class TestExecutor:
             assert stats.ci_lo <= stats.mean <= stats.ci_hi
 
     def test_grouping_buckets_by_market(self):
-        points = expand(tiny_spec())
-        groups = sweeps.group_points(points)
+        groups = list(sweeps.plan_groups(tiny_spec()))
         assert len(groups) == 3  # one bucket per replica market seed
         for group in groups:
-            markets = {p.scenario.market for p in group}
+            markets = {p.scenario.market for p in group.points}
             assert len(markets) == 1
 
     def test_sweep_artifact_reused(self, tmp_path, monkeypatch):

@@ -68,12 +68,14 @@ class TestPlanner:
             assert covered == list(range(spec.n_points))
 
     def test_small_buckets_reproduce_the_eager_grouping(self):
+        """Buckets under the target are the (market, provider) buckets of
+        the full expansion, whole and in first-appearance order."""
         spec = sweeps.get("smoke-grid")
         planned = [list(g.point_indices) for g in plan_groups(spec)]
-        eager = [
-            [p.index for p in bucket] for bucket in sweeps.group_points(expand(spec))
-        ]
-        assert planned == eager
+        eager: dict[object, list[int]] = {}
+        for p in expand(spec):
+            eager.setdefault((p.scenario.market, p.scenario.provider), []).append(p.index)
+        assert planned == list(eager.values())
 
     def test_cells_never_split_across_groups(self):
         spec = sweeps.get("joint-penalty-grid")

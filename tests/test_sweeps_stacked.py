@@ -17,7 +17,7 @@ import pytest
 
 from repro import artifacts, scenarios, sweeps
 from repro.scenarios import runner
-from repro.sweeps.executor import split_oversized_groups
+from repro.sweeps.planner import plan_groups
 from repro.sweeps.spec import expand
 
 
@@ -117,28 +117,27 @@ class TestArtifactHashPins:
 
 
 class TestBucketSplitting:
-    def _points(self, n):
-        spec = sweeps.get("joint-penalty-grid")
-        points = expand(spec)
-        assert len(points) >= n
-        return points[:n], spec.n_replicas
+    """The planner cuts one large bucket into replica-aligned groups."""
+
+    def _plan(self, spec_target):
+        spec = sweeps.get("joint-penalty-grid")  # one market, 24 points
+        return spec, [g.points for g in plan_groups(spec, spec_target)]
 
     def test_serial_never_splits(self):
-        points, block = self._points(24)
-        groups = [points]
-        assert split_oversized_groups(groups, jobs=1, replica_block=block) == groups
+        spec, groups = self._plan(spec_target=24)
+        assert [len(g) for g in groups] == [spec.n_points]
 
     def test_one_bucket_shards_across_jobs(self):
-        points, block = self._points(24)
-        split = split_oversized_groups([points], jobs=4, replica_block=block)
-        assert len(split) > 1
-        # Slices are replica-aligned so stacked groups stay whole...
-        assert all(len(g) % block == 0 for g in split[:-1])
+        spec, groups = self._plan(spec_target=6)
+        assert len(groups) > 1
+        # Groups flush at cell boundaries, so each is replica-aligned...
+        assert all(len(g) % spec.n_replicas == 0 for g in groups)
         # ...contiguous, order-preserving, and lossless.
-        flat = [p.index for g in split for p in g]
-        assert flat == [p.index for p in points]
+        flat = [p.index for g in groups for p in g]
+        assert flat == [p.index for p in expand(spec)]
 
     def test_small_buckets_pass_through(self):
-        points, block = self._points(8)
-        groups = [points[:4], points[4:8]]
-        assert split_oversized_groups(groups, jobs=4, replica_block=block) == groups
+        spec = sweeps.get("provider-grid")  # five buckets of four points
+        groups = [g.point_indices for g in plan_groups(spec)]
+        assert [len(g) for g in groups] == [4] * 5
+        assert sorted(i for g in groups for i in g) == list(range(spec.n_points))
